@@ -492,7 +492,7 @@ class WorkerPool:
         ]
         if mode == "process":
             results = self._run_processes(
-                plan, shards, engine, fault_plan, report
+                plan, shards, engine, fault_plan, report, workers
             )
         else:
             results = self._run_inprocess(
@@ -726,7 +726,9 @@ class WorkerPool:
         engine: str,
         fault_plan: _t.Optional[_chaos.FaultPlan],
         report: FarmReport,
+        workers: int,
     ) -> _t.Dict[int, _t.Dict[str, _t.Any]]:
+        """Supervise up to ``workers`` (already resolved, >= 1) at once."""
         farm = self.farm
         ctx = _mp_context()
         results: _t.Dict[int, _t.Dict[str, _t.Any]] = {}
@@ -737,7 +739,6 @@ class WorkerPool:
             (0.0, shard, 0) for shard in shards
         ]
         active: _t.Dict[int, _Active] = {}
-        outstanding = len(shards)
         poll_s = max(
             0.005, min(0.1, farm.heartbeat_interval_s / 2.0)
         )
@@ -789,7 +790,6 @@ class WorkerPool:
             active.pop(state.shard.shard_id, None)
 
         def _fail(state: _Active, error: FarmError) -> None:
-            nonlocal outstanding
             _reap(state)
             self.events.record(
                 "dispatch",
@@ -825,14 +825,14 @@ class WorkerPool:
                 )
             else:
                 degraded.append(state.shard)
-                outstanding -= 1
 
         try:
-            while outstanding > len(degraded) or active:
+            # every shard is queued, active, done or degraded
+            while queue or active:
                 now = time.monotonic()
-                if queue and len(active) < farm.workers:
+                if queue and len(active) < workers:
                     queue.sort(key=lambda item: item[0])
-                    while queue and len(active) < farm.workers:
+                    while queue and len(active) < workers:
                         if queue[0][0] > now:
                             break
                         _, shard, attempt = queue.pop(0)
@@ -841,6 +841,15 @@ class WorkerPool:
                     state.conn: state for state in active.values()
                 }
                 if not conns:
+                    # nothing running: the only legitimate wait is a
+                    # retry backing off; a ready shard left unlaunched
+                    # would never progress
+                    if queue[0][0] <= now:
+                        raise FarmError(
+                            f"farm supervisor stalled: {len(queue)} "
+                            f"shard(s) queued and ready, none active, "
+                            f"{workers} worker slot(s)"
+                        )
                     time.sleep(poll_s)
                     continue
                 for conn in _mp_connection.wait(
@@ -915,7 +924,6 @@ class WorkerPool:
                     report.shards[
                         state.shard.shard_id
                     ].engine = result["engine"]
-                    outstanding -= 1
                 # deadline + heartbeat-silence sweep
                 now = time.monotonic()
                 for state in list(active.values()):

@@ -29,10 +29,16 @@ Two in-memory representations exist:
   directly.  A million-request packed trace costs ~9 MB instead of
   hundreds of MB of Python objects.
 
-Streaming is lazy end to end: :func:`iter_trace` parses line by line
-without materializing the request list, and :func:`write_trace` accepts
-any request iterable and writes incrementally, so a 1M-request trace is
-never held in memory twice.
+:func:`parse_trace` reads a file or text blob as bytes and converts it
+block by block (about 1 MiB of text each, cut at a newline) straight
+into :class:`PackedTrace` arrays, so its working memory beyond the
+result is bounded by the block size, not the trace length.  That array
+path handles a strict, well-formed subset of the format; anything else
+(including every malformed line) is re-parsed by :func:`iter_trace`,
+the line-by-line parser that defines the format and names the bad line
+in its :class:`~repro.errors.TraceFormatError`.  :func:`write_trace`
+accepts any request iterable and writes incrementally, so a
+1M-request trace is never held in memory twice.
 
 :func:`synthesize_trace` bridges the synthetic address-pattern
 generators of :mod:`repro.workloads.access_patterns` into request
@@ -328,6 +334,12 @@ def iter_trace(
                 f"trace line {lineno}: negative address {tokens[1]!r}",
                 lineno=lineno,
             )
+        if addr >= 1 << 63:
+            raise TraceFormatError(
+                f"trace line {lineno}: address {tokens[1]!r} does not "
+                "fit in 63 bits",
+                lineno=lineno,
+            )
         has_time = len(tokens) == 3
         if timed is None:
             timed = has_time
@@ -362,6 +374,229 @@ def iter_trace(
         yield MemRequest(op, addr, when)
 
 
+#: Bytes read per bulk-parse block (each cut back to its last newline);
+#: bounds the bulk parser's working set on arbitrarily large traces.
+_BLOCK_BYTES = 1 << 20
+
+
+def _byte_table(entries: _t.Iterable[_t.Tuple[bytes, int]]) -> np.ndarray:
+    """A 256-entry ``uint8`` lookup table, 255 where ``entries`` is silent."""
+    table = np.full(256, 255, np.uint8)
+    for key, value in entries:
+        table[np.frombuffer(key, np.uint8)] = value
+    return table
+
+
+#: Op mnemonic byte (either case) -> ``Op.code``.
+_OP_CODE = _byte_table(
+    (op.value.encode() + op.value.lower().encode(), op.code)
+    for op in OPS_BY_CODE
+)
+#: Digit byte -> value, hex letters in either case.
+_DIGIT = _byte_table(
+    (bytes(chars), value)
+    for value, chars in enumerate(
+        zip(b"0123456789abcdef", b"0123456789ABCDEF")
+    )
+)
+#: 0 for the bytes a bulk-parsed timestamp may hold (NUL pads it).
+_TIME_CHAR = _byte_table([(b"\0+-.0123456789Ee", 0)])
+_NO_CODES = np.zeros(0, np.uint8)
+_NO_ADDRS = np.zeros(0, np.int64)
+_NO_TIMES = np.zeros(0, np.float64)
+
+
+class _NotBulk(Exception):
+    """The input leaves the bulk parser's strict, well-formed subset."""
+
+
+def _bulk_blocks(read: _t.Callable[[int], bytes]) -> _t.Iterator[bytes]:
+    """Yield whole-line blocks of about ``_BLOCK_BYTES``, each ending in
+    ``\n`` (a final unterminated line gets one)."""
+    tail = b""
+    while True:
+        chunk = read(_BLOCK_BYTES)
+        if not chunk:
+            break
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:  # a line longer than a block: keep reading
+            tail += chunk
+            continue
+        yield tail + chunk[:cut]
+        tail = chunk[cut:]
+    if tail:
+        yield tail + b"\n"
+
+
+def _bulk_uints(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray, base: int
+) -> np.ndarray:
+    """Exact ``int64`` values of the digit runs ``data[starts:ends]``.
+
+    Folds the runs right-aligned, one digit column at a time, in
+    ``uint64``: 19 decimal or 16 hex digits cannot wrap, and a value of
+    2**63 or more leaves the subset.
+    """
+    value = np.zeros(starts.size, np.uint64)
+    if not starts.size:
+        return value.view(np.int64)
+    length = ends - starts
+    width = int(length.max())
+    if width > (19 if base == 10 else 16):
+        raise _NotBulk
+    shortest = int(length.min())
+    for shift in range(width, 0, -1):
+        digit = _DIGIT[np.take(data, ends - shift, mode="clip")]
+        if shift > shortest:  # left of the shorter runs: a leading 0
+            digit[length < shift] = 0
+        if int(digit.max()) >= base:
+            raise _NotBulk
+        value *= np.uint64(base)
+        value += digit
+    if int(value.max()) >> 63:
+        raise _NotBulk
+    return value.view(np.int64)
+
+
+def _bulk_addresses(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """``int(token, 0)`` for plain decimal and ``0x`` hex tokens."""
+    length = ends - starts
+    zero = data[starts] == ord("0")
+    hexed = zero & (length > 2) & ((data[starts + 1] | 0x20) == ord("x"))
+    # int(..., 0) rejects leading zeros except in "0", "00", ...
+    if bool((zero & ~hexed & (length > 1)).any()):
+        raise _NotBulk
+    if not hexed.any():
+        return _bulk_uints(data, starts, ends, 10)
+    if hexed.all():
+        return _bulk_uints(data, starts + 2, ends, 16)
+    addrs = np.empty(starts.size, np.int64)
+    addrs[~hexed] = _bulk_uints(data, starts[~hexed], ends[~hexed], 10)
+    addrs[hexed] = _bulk_uints(data, starts[hexed] + 2, ends[hexed], 16)
+    return addrs
+
+
+def _bulk_times(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray, last: float
+) -> np.ndarray:
+    """``float(token)`` per token, via NumPy's bytes-to-float cast;
+    finite, non-negative and non-decreasing from ``last`` on."""
+    width = int((ends - starts).max())
+    if width > 64:
+        raise _NotBulk
+    index = starts[:, None] + np.arange(width)
+    chars = np.take(data, index, mode="clip")
+    chars[index >= ends[:, None]] = 0
+    if int(_TIME_CHAR[chars].max()):
+        raise _NotBulk
+    try:
+        times = chars.view(f"S{width}").ravel().astype(np.float64)
+    except ValueError:
+        raise _NotBulk from None
+    if not (
+        bool(np.isfinite(times).all())
+        and times[0] >= last
+        and bool((np.diff(times) >= 0).all())
+    ):
+        raise _NotBulk
+    return times
+
+
+def _bulk_block(
+    block: bytes, arity: _t.Optional[int], last_time: float
+) -> _t.Tuple[_t.Optional[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Parse one whole-line block into (arity, codes, addrs, times).
+
+    ``arity`` is the trace's tokens per record line so far (``None``
+    before the first record) and ``last_time`` its latest timestamp;
+    ``times`` is empty unless the records are timestamped.
+    """
+    data = np.frombuffer(block, np.uint8)
+    newlines = np.flatnonzero(data == ord("\n"))
+    # only printable ASCII, space, tab and "\n": no "\r", no bytes
+    # str.split() or a text-mode decode would treat differently
+    if int(data.max()) > 0x7E or np.count_nonzero(
+        data < 0x20
+    ) != newlines.size + np.count_nonzero(data == ord("\t")):
+        raise _NotBulk
+    hashes = np.flatnonzero(data == ord("#"))
+    if hashes.size:
+        # blank each line from its first "#" up to (not including) "\n"
+        stops = newlines[np.searchsorted(newlines, hashes)]
+        first = np.ones(hashes.size, bool)
+        first[1:] = stops[1:] != stops[:-1]
+        step = np.zeros(data.size + 1, np.int8)
+        step[hashes[first]] = 1
+        step[stops[first]] = -1
+        blank = np.cumsum(step[:-1], dtype=np.int8).view(bool)
+        data = np.where(blank, np.uint8(ord(" ")), data)
+    word = data > ord(" ")
+    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
+    if word[0]:
+        edges = np.concatenate(([0], edges))
+    starts, ends = edges[0::2], edges[1::2]
+    if not starts.size:
+        return arity, _NO_CODES, _NO_ADDRS, _NO_TIMES
+    # tokens per line: every line holds 0 or ``arity`` of them
+    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    if arity is None:
+        arity = int(per_line[np.flatnonzero(per_line)[0]])
+    if arity not in (2, 3) or bool(
+        ((per_line != 0) & (per_line != arity)).any()
+    ):
+        raise _NotBulk
+    op_starts = starts[0::arity]
+    codes = _OP_CODE[data[op_starts]]
+    if bool((ends[0::arity] - op_starts != 1).any()) or int(
+        codes.max()
+    ) >= len(OPS_BY_CODE):
+        raise _NotBulk
+    addrs = _bulk_addresses(data, starts[1::arity], ends[1::arity])
+    times = _NO_TIMES
+    if arity == 3:
+        times = _bulk_times(data, starts[2::3], ends[2::3], last_time)
+    return arity, codes, addrs, times
+
+
+def _parse_bulk(source: _t.Union[str, pathlib.Path]) -> PackedTrace:
+    """Array-first parse of a file or text blob (no per-line objects).
+
+    Raises :class:`_NotBulk` on anything outside the strict subset it
+    handles — every malformed line among it — for :func:`iter_trace`
+    to re-parse and, where the input is bad, name the line.
+    """
+    if isinstance(source, pathlib.Path):
+        with source.open("rb") as handle:
+            return _parse_blocks(handle.read)
+    try:
+        data = source.encode("ascii")
+    except UnicodeEncodeError:
+        raise _NotBulk from None
+    return _parse_blocks(io.BytesIO(data).read)
+
+
+def _parse_blocks(read: _t.Callable[[int], bytes]) -> PackedTrace:
+    arity: _t.Optional[int] = None
+    codes, addrs, times = [_NO_CODES], [_NO_ADDRS], [_NO_TIMES]
+    last_time = 0.0
+    for block in _bulk_blocks(read):
+        arity, block_codes, block_addrs, block_times = _bulk_block(
+            block, arity, last_time
+        )
+        codes.append(block_codes)
+        addrs.append(block_addrs)
+        times.append(block_times)
+        if block_times.size:
+            last_time = float(block_times[-1])
+    return PackedTrace(
+        np.concatenate(codes),
+        np.concatenate(addrs),
+        np.concatenate(times) if arity == 3 else None,
+    )
+
+
 def parse_trace(
     source: _t.Union[str, pathlib.Path, _t.Iterable[str]],
     *,
@@ -369,18 +604,28 @@ def parse_trace(
 ) -> _t.Union[_t.List[MemRequest], PackedTrace]:
     """Parse a trace from a file, a text blob, or an iterable of lines.
 
-    Parsing streams through :func:`iter_trace`; ``packed=True`` collects
-    straight into a :class:`PackedTrace` (arrays, no request objects
-    retained), otherwise a list of :class:`MemRequest` is returned.
+    A :class:`pathlib.Path` or ``str`` is parsed in bulk, block by
+    block, straight into :class:`PackedTrace` arrays.  Input outside
+    the bulk parser's strict subset (every malformed line among it) is
+    re-parsed by :func:`iter_trace`, which accepts exactly the same
+    traces and names the bad line; other iterables of lines always go
+    through :func:`iter_trace`.  ``packed=True`` returns the
+    :class:`PackedTrace`, otherwise a list of :class:`MemRequest`.
 
     Raises
     ------
-    ValueError
-        On malformed lines, with the 1-based line number in the message.
+    TraceFormatError
+        On malformed lines, with the 1-based line number in the message
+        (still a ``ValueError``).
     """
-    if packed:
-        return PackedTrace.from_requests(iter_trace(source))
-    return list(iter_trace(source))
+    if not packed:
+        return parse_trace(source, packed=True).to_requests()
+    if isinstance(source, (str, pathlib.Path)):
+        try:
+            return _parse_bulk(source)
+        except _NotBulk:
+            pass
+    return PackedTrace.from_requests(iter_trace(source))
 
 
 def format_trace(requests: _t.Iterable[MemRequest]) -> str:

@@ -10,6 +10,7 @@ is exact by construction.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ class TestBitIdentity:
             FarmConfig(mode="process", engine="fast", workers=2),
         )
         assert result.report.mode == "process"
+        assert result.report.n_shards == 4
+
+    def test_real_worker_processes_default_workers(self):
+        # workers=0 (auto) must launch min(shards, cores) workers; on a
+        # multi-core host the supervisor once waited on 0 slots forever
+        config = MemSysConfig(
+            n_channels=4, scheme="channel-interleaved", queue_depth=8
+        )
+        trace = poisson_trace(config)
+        result = assert_farm_exact(
+            config, trace, FarmConfig(mode="process", engine="fast")
+        )
+        assert result.report.workers == min(4, os.cpu_count() or 1)
         assert result.report.n_shards == 4
 
     def test_max_shards_folding(self):

@@ -135,6 +135,15 @@ class TestResolveMode:
         assert why == ""
 
 
+class TestSupervisorProgress:
+    def test_no_worker_slots_raise_instead_of_waiting(self):
+        plan = _plan()
+        pool = WorkerPool(FarmConfig(mode="process"))
+        report = FarmReport(mode="process", workers=0, n_shards=plan.n_shards)
+        with pytest.raises(FarmError, match="stalled"):
+            pool._run_processes(plan, plan.shards, "fast", None, report, 0)
+
+
 class TestBackoff:
     def test_deterministic_per_shard_and_attempt(self):
         pool = WorkerPool(FarmConfig(seed=42))

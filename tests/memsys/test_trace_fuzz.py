@@ -3,7 +3,9 @@
 The robustness contract: for *any* text input — truncated, garbled,
 dialect-mixed, or randomly mutated — :func:`repro.memsys.parse_trace`
 either succeeds or raises :class:`~repro.errors.TraceFormatError`
-(a ``ValueError``) carrying the 1-based line number.  It must never
+(a ``ValueError``) carrying the 1-based line number, and its bulk
+array path agrees with the line-by-line :func:`iter_trace` on both the
+result and the exact error.  It must never
 leak an ``IndexError``, ``UnboundLocalError``, ``AttributeError``, or
 any other accidental exception from its internals.
 """
@@ -15,7 +17,9 @@ import pytest
 from repro.errors import TraceFormatError
 from repro.memsys import MemSysConfig
 from repro.memsys.trace import (
+    PackedTrace,
     format_trace,
+    iter_trace,
     parse_trace,
     synthesize_trace,
 )
@@ -30,13 +34,24 @@ VALID = (
 
 
 def _attempt(text):
-    """Parse; malformed input must surface as TraceFormatError only."""
+    """Parse; malformed input must surface as TraceFormatError only,
+    the very error (type, line, message) the line parser raises."""
     try:
-        parse_trace(text, packed=True)
+        expected = PackedTrace.from_requests(iter_trace(text))
+    except TraceFormatError as error:
+        expected = error
+    try:
+        parsed = parse_trace(text, packed=True)
     except TraceFormatError as error:
         assert isinstance(error, ValueError)
         assert "line" in str(error)
+        assert (type(error), error.lineno, str(error)) == (
+            type(expected),
+            getattr(expected, "lineno", None),
+            str(expected),
+        )
         return error
+    assert parsed == expected
     return None
 
 
@@ -48,7 +63,10 @@ class TestMalformedLines:
             "R 0x100 1.0 extra",  # too many tokens
             "FLY 0x100",  # unknown mnemonic
             "R banana",  # non-numeric address
+            "R 007",  # leading zeros: not an int(x, 0) literal
             "R -0x100",  # negative address
+            "R 99999999999999999999",  # does not fit in int64
+            "R 0x8000000000000000",  # 2**63, one past the largest
             "R 0x100 banana",  # non-numeric timestamp
             "R 0x100 -1.0",  # negative timestamp
             "R 0x100 nan",  # non-finite timestamp

@@ -62,6 +62,13 @@ class TestReplayBadInput:
         assert code == 2
         assert "replay failed" in err
 
+    def test_address_beyond_int64(self, tmp_path, capsys):
+        path = tmp_path / "huge.trace"
+        path.write_text("R 0x20\nR 99999999999999999999\n")
+        code, _, err = run_cli(["replay", str(path)], capsys)
+        assert code == 2
+        assert "line 2" in err
+
     def test_binary_garbage(self, tmp_path, capsys):
         path = tmp_path / "binary.trace"
         path.write_bytes(bytes([0, 159, 146, 150, 255, 0, 128]))
