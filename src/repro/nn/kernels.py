@@ -294,17 +294,25 @@ def _read_tile_pages(
     k_count: int,
 ) -> np.ndarray:
     """Host READ of one tile's pages -> ``(k_count, units, lanes)``."""
-    pages = np.empty(
-        (k_count, layout.units, layout.lanes), dtype=machine.np_dtype
+    return _read_tiles(machine, layout, base + t * k_count, 1, k_count)[0]
+
+
+def _read_tiles(
+    machine: PimExecMachine,
+    layout: Layout,
+    base: int,
+    t_count: int,
+    k_count: int,
+) -> np.ndarray:
+    """Host READ of ``t_count`` tiles -> ``(T, K, units, lanes)``.
+
+    One array read of every data bank; the READs go out slot by slot,
+    unit-major within a slot (global unit order is channel-major).
+    """
+    addrs = [layout.slot_addr(base + s) for s in range(t_count * k_count)]
+    return machine.read_pages(addrs).reshape(
+        t_count, k_count, layout.units, layout.lanes
     )
-    for k in range(k_count):
-        row, col = layout.slot_addr(base + t * k_count + k)
-        for u in range(layout.units):
-            ch, _ = layout.unit_coords(u)
-            pages[k, u] = machine.read_bank(
-                ch, layout.data_bank(u), row, col
-            )
-    return pages
 
 
 def _write_tile_pages(
@@ -406,54 +414,50 @@ def _run_gemm(
     result_base: int,
     zero_slot: int,
 ) -> None:
-    """Emit the host+PIM stream for ``C_pages = A_tiles @ b``.
+    """Emit the all-bank stream for ``C_pages = A_tiles @ b``.
 
     ``b`` is host-resident ``(K, N)`` in the machine dtype; its values
     enter the banks as SRF scalar broadcasts, ``GRF_REGS`` output
     columns at a time, exactly like the reference
-    :func:`_ref_gemm` accumulates them.
+    :func:`_ref_gemm` accumulates them.  Every step is host-sequenced
+    all-channel lockstep: per output-column group, one fused FILL of
+    the GRF_B accumulators, then per k-step one SRF broadcast and one
+    fused MAC, then one MOV per column back to the banks.
     """
     k_count, n = b.shape
-    channels = range(machine.n_channels)
     zrow, zcol = layout.slot_addr(zero_slot)
+    fills = [
+        PimCommand(PimOpcode.FILL, dst=Operand.grf_b(c), src0=Operand.bank())
+        for c in range(GRF_REGS)
+    ]
+    macs = [
+        PimCommand(
+            PimOpcode.MAC,
+            dst=Operand.grf_b(c),
+            src0=Operand.bank(),
+            src1=Operand.srf(c),
+        )
+        for c in range(GRF_REGS)
+    ]
+    movs = [
+        PimCommand(PimOpcode.MOV, dst=Operand.bank(), src0=Operand.grf_b(c))
+        for c in range(GRF_REGS)
+    ]
     for t in range(t_count):
         for j0 in range(0, n, GRF_REGS):
             width = min(GRF_REGS, n - j0)
-            for c in range(width):
-                fill = PimCommand(
-                    PimOpcode.FILL,
-                    dst=Operand.grf_b(c),
-                    src0=Operand.bank(),
-                )
-                for ch in channels:
-                    machine.pim_step(ch, fill, zrow, zcol)
+            machine.pim_step_all(fills[:width], zrow, zcol)
             for k in range(k_count):
                 arow, acol = layout.slot_addr(a_base + t * k_count + k)
-                for c in range(width):
-                    for ch in channels:
-                        machine.broadcast_scalar(
-                            ch, c, float(b[k, j0 + c]), arow, acol
-                        )
-                for c in range(width):
-                    mac = PimCommand(
-                        PimOpcode.MAC,
-                        dst=Operand.grf_b(c),
-                        src0=Operand.bank(),
-                        src1=Operand.srf(c),
-                    )
-                    for ch in channels:
-                        machine.pim_step(ch, mac, arow, acol)
+                machine.broadcast_scalars(
+                    0, b[k, j0:j0 + width], arow, acol
+                )
+                machine.pim_step_all(macs[:width], arow, acol)
             for c in range(width):
                 rrow, rcol = layout.slot_addr(
                     result_base + t * n + j0 + c
                 )
-                mov = PimCommand(
-                    PimOpcode.MOV,
-                    dst=Operand.bank(),
-                    src0=Operand.grf_b(c),
-                )
-                for ch in channels:
-                    machine.pim_step(ch, mov, rrow, rcol)
+                machine.pim_step_all([movs[c]], rrow, rcol)
 
 
 def _ref_gemm(
@@ -462,20 +466,16 @@ def _ref_gemm(
     """Reference of :func:`_run_gemm`: pages ``(T, N, units, lanes)``.
 
     Performs exactly the MAC's expression ``acc + page * scalar_lanes``
-    in slot order, in ``np_dtype``.
+    in slot order, in ``np_dtype`` — one k-step at a time over every
+    tile and output column (elementwise, so the rounding per element is
+    that of a per-column loop).
     """
     t_count, k_count, units, lanes = a_tiles.shape
-    n = b.shape[1]
-    out = np.zeros((t_count, n, units, lanes), dtype=np_dtype)
-    for t in range(t_count):
-        for j in range(n):
-            acc = np.zeros((units, lanes), dtype=np_dtype)
-            for k in range(k_count):
-                acc = acc + a_tiles[t, k] * np.full(
-                    lanes, b[k, j], dtype=np_dtype
-                )
-            out[t, j] = acc
-    return out
+    scalars = np.asarray(b).astype(np_dtype)
+    acc = np.zeros((t_count, b.shape[1], units, lanes), dtype=np_dtype)
+    for k in range(k_count):
+        acc = acc + a_tiles[:, k, None] * scalars[k][:, None, None]
+    return acc
 
 
 def _softmax_exp(pages: np.ndarray) -> np.ndarray:
@@ -587,7 +587,6 @@ def _run_layernorm(
     inv_c = np_dtype.type(1.0) / np_dtype.type(c_count)
     eps_d = np_dtype.type(eps)
     zero_addr = layout.slot_addr(zero_slot)
-    channels = range(machine.n_channels)
     affine = [
         PimCommand(
             PimOpcode.FILL, dst=Operand.grf_b(0), src0=Operand.bank()
@@ -658,17 +657,8 @@ def _run_layernorm(
         )
         for s in range(c_count):
             row, col = layout.slot_addr(x_base + t * c_count + s)
-            for ch in channels:
-                machine.broadcast_scalar(
-                    ch, 0, float(gamma[s]), row, col
-                )
-            for ch in channels:
-                machine.broadcast_scalar(
-                    ch, 1, float(beta[s]), row, col
-                )
-            for command in affine:
-                for ch in channels:
-                    machine.pim_step(ch, command, row, col)
+            machine.broadcast_scalars(0, (gamma[s], beta[s]), row, col)
+            machine.pim_step_all(affine, row, col)
 
 
 def _ref_layernorm(
@@ -828,8 +818,7 @@ def gemm_kernel(
             machine, layout, a_base, t_count, b_mat, result_base,
             zero_slot,
         )
-        for t in range(t_count):
-            _read_tile_pages(machine, layout, result_base, t, n)
+        _read_tiles(machine, layout, result_base, t_count, n)
 
     def check(machine: PimExecMachine) -> bool:
         pages = _collect_pages(
@@ -897,8 +886,7 @@ def softmax_kernel(
             machine, layout, x_base, t_count, c, zero_slot,
             scratch_base,
         )
-        for t in range(t_count):
-            _read_tile_pages(machine, layout, x_base, t, c)
+        _read_tiles(machine, layout, x_base, t_count, c)
 
     def check(machine: PimExecMachine) -> bool:
         pages = _collect_pages(machine, layout, x_base, t_count, c)
@@ -966,8 +954,7 @@ def layernorm_kernel(
             machine, layout, x_base, t_count, c, gamma, beta, eps,
             zero_slot, scratch_base,
         )
-        for t in range(t_count):
-            _read_tile_pages(machine, layout, x_base, t, c)
+        _read_tiles(machine, layout, x_base, t_count, c)
 
     def check(machine: PimExecMachine) -> bool:
         pages = _collect_pages(machine, layout, x_base, t_count, c)
@@ -1073,8 +1060,7 @@ def attention_kernel(
                 machine, layout, scores_base, t_count, v[h],
                 out_base, zero_slot,
             )
-            for t in range(t_count):
-                _read_tile_pages(machine, layout, out_base, t, d_head)
+            _read_tiles(machine, layout, out_base, t_count, d_head)
 
     def check(machine: PimExecMachine) -> bool:
         return all(
@@ -1171,8 +1157,7 @@ def ffn_kernel(
         _run_gemm(
             machine, layout, h_base, t_count, w2, out_base, zero_slot
         )
-        for t in range(t_count):
-            _read_tile_pages(machine, layout, out_base, t, d_model)
+        _read_tiles(machine, layout, out_base, t_count, d_model)
 
     def check(machine: PimExecMachine) -> bool:
         pages = _collect_pages(

@@ -297,8 +297,7 @@ def axpy_kernel(
                 machine.write_bank(ch, bank, *y_addr(s), y_pages[s, u])
 
     def execute(machine: PimExecMachine) -> None:
-        for ch in range(config.n_channels):
-            machine.broadcast_scalar(ch, 0, a, *x_addr(0))
+        machine.broadcast_scalars(0, [a], *x_addr(0))
         machine.load_kernel(
             [
                 PimCommand(
@@ -445,10 +444,8 @@ def gemv_kernel(
         )
         for j in range(n_cols):
             row, col = _slot_addr(j, ppr)
-            for ch in range(config.n_channels):
-                machine.broadcast_scalar(ch, 0, x[j], row, col)
-            for ch in range(config.n_channels):
-                machine.pim_step(ch, mac, row, col)
+            machine.broadcast_scalars(0, [x[j]], row, col)
+            machine.pim_step_all([mac], row, col)
         for u in range(units):
             ch, bank = _unit_coords(u, config)
             machine.read_grf(ch, bank, "grf_b", 0)

@@ -100,6 +100,14 @@ def _empty_log() -> LogColumns:
 LANE_BITS = 16
 
 
+def _check_bank_command(command: PimCommand) -> None:
+    if command.is_control:
+        raise PimExecError(
+            f"{command.opcode.value} is sequencer control, not a bank "
+            "operation"
+        )
+
+
 def page_encoder(
     config: MemSysConfig,
 ) -> _t.Callable[[int, int, int, int], int]:
@@ -253,12 +261,15 @@ class PimExecMachine:
         # The accumulated request stream lives packed until someone
         # asks for request *objects* (see :attr:`requests`): closed
         # chunks — ("flat", op, ch, bank, row, col columns) or
-        # ("block", targets, rows, cols) lockstep blocks, one entry
-        # per dynamic instruction — plus the open flat tail ``_log``.
+        # ("block", targets, ops, rows, cols) all-channel blocks, one
+        # entry per AB/PIM step, each fanning out to one request per
+        # target channel — plus the open flat tail ``_log``.
         self._chunks: _t.List[tuple] = []
         self._log = _empty_log()
         self._count = 0
         self._objects: _t.Optional[_t.List[MemRequest]] = None
+        #: Compiled all-channel command groups (vectorized tier only).
+        self._groups: _t.Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -330,28 +341,12 @@ class PimExecMachine:
         behave exactly as before) until :meth:`reset_requests`.
         """
         if self._objects is None:
-            encode = self._encode
-            pim = Op.PIM
             objects: _t.List[MemRequest] = []
             for chunk in self._iter_chunks():
                 if chunk[0] == "flat":
-                    _, ops_l, ch_l, bank_l, row_l, col_l = chunk
-                    objects.extend(
-                        MemRequest(
-                            OPS_BY_CODE[op],
-                            encode(ch, bank, row, col),
-                        )
-                        for op, ch, bank, row, col in zip(
-                            ops_l, ch_l, bank_l, row_l, col_l
-                        )
-                    )
+                    objects.extend(self._request_objects(*chunk[1:]))
                 else:
-                    _, targets, rows_l, cols_l = chunk
-                    objects.extend(
-                        MemRequest(pim, encode(ch, 0, row, col))
-                        for row, col in zip(rows_l, cols_l)
-                        for ch in targets
-                    )
+                    objects.extend(self._block_objects(*chunk[1:]))
             self._chunks = []
             self._log = _empty_log()
             self._count = 0
@@ -378,18 +373,83 @@ class PimExecMachine:
         if self._log[0]:
             yield ("flat",) + self._log
 
+    def _request_objects(
+        self,
+        ops: _t.Sequence[int],
+        channels: _t.Sequence[int],
+        banks: _t.Sequence[int],
+        rows: _t.Sequence[int],
+        cols: _t.Sequence[int],
+    ) -> _t.Iterator[MemRequest]:
+        encode = self._encode
+        for op, ch, bank, row, col in zip(ops, channels, banks, rows, cols):
+            yield MemRequest(OPS_BY_CODE[op], encode(ch, bank, row, col))
+
+    def _block_objects(
+        self,
+        targets: _t.Sequence[int],
+        ops: _t.Sequence[int],
+        rows: _t.Sequence[int],
+        cols: _t.Sequence[int],
+    ) -> _t.Iterator[MemRequest]:
+        encode = self._encode
+        for op, row, col in zip(ops, rows, cols):
+            for ch in targets:
+                yield MemRequest(OPS_BY_CODE[op], encode(ch, 0, row, col))
+
     def _push_block(
         self,
         targets: _t.Sequence[int],
+        ops: _t.List[int],
         rows: _t.List[int],
         cols: _t.List[int],
     ) -> None:
-        """Append one lockstep block chunk (closing the flat tail)."""
+        """Append all-channel steps: one request per target per step.
+
+        Channel-major within each step — the order a ``for ch in
+        targets`` loop around single-channel calls emits.  Consecutive
+        blocks over the same targets share one chunk.
+        """
+        if self._objects is not None:
+            self._objects.extend(
+                self._block_objects(targets, ops, rows, cols)
+            )
+            return
         if self._log[0]:
             self._chunks.append(("flat",) + self._log)
             self._log = _empty_log()
-        self._chunks.append(("block", tuple(targets), rows, cols))
+        targets = tuple(targets)
+        last = self._chunks[-1] if self._chunks else None
+        if last is not None and last[0] == "block" and last[1] == targets:
+            last[2].extend(ops)
+            last[3].extend(rows)
+            last[4].extend(cols)
+        else:
+            self._chunks.append(
+                ("block", targets, list(ops), list(rows), list(cols))
+            )
         self._count += len(targets) * len(rows)
+
+    def _emit_flat(
+        self,
+        op: Op,
+        channels: _t.List[int],
+        banks: _t.List[int],
+        rows: _t.List[int],
+        cols: _t.List[int],
+    ) -> None:
+        """Append single-bank requests, one per column entry."""
+        ops = [op.code] * len(channels)
+        if self._objects is not None:
+            self._objects.extend(
+                self._request_objects(ops, channels, banks, rows, cols)
+            )
+            return
+        for column, values in zip(
+            self._log, (ops, channels, banks, rows, cols)
+        ):
+            column.extend(values)
+        self._count += len(channels)
 
     def _emit(
         self, op: Op, channel: int, flat_bank: int, row: int, col: int
@@ -407,14 +467,21 @@ class PimExecMachine:
         col_l.append(col)
         self._count += 1
 
+    def _check_channel(self, channel: int) -> None:
+        if not 0 <= channel < self.n_channels:
+            raise PimExecError(
+                f"channel {channel} out of range [0, {self.n_channels})"
+            )
+
     def _channels(
         self, channels: _t.Optional[_t.Sequence[int]]
     ) -> _t.List[int]:
-        return (
-            list(range(self.n_channels))
-            if channels is None
-            else list(channels)
-        )
+        if channels is None:
+            return list(range(self.n_channels))
+        targets = list(channels)
+        for channel in targets:
+            self._check_channel(channel)
+        return targets
 
     # ------------------------------------------------------------------
     # host-side actions (functional effect + request cost)
@@ -428,6 +495,7 @@ class PimExecMachine:
         values: _t.Sequence[float],
     ) -> None:
         """Host write of one page into one bank."""
+        self._check_channel(channel)
         unit, port = self.unit_for_bank(channel, flat_bank)
         unit.store_page(row, col, values, port)
         self._emit(Op.WRITE, channel, flat_bank, row, col)
@@ -436,9 +504,47 @@ class PimExecMachine:
         self, channel: int, flat_bank: int, row: int, col: int
     ) -> np.ndarray:
         """Host read of one page from one bank."""
+        self._check_channel(channel)
         self._emit(Op.READ, channel, flat_bank, row, col)
         unit, port = self.unit_for_bank(channel, flat_bank)
         return unit.load_page(row, col, port)
+
+    def read_pages(
+        self, addrs: _t.Sequence[_t.Tuple[int, int]], port: int = 0
+    ) -> np.ndarray:
+        """Host READs of one page per execution unit at each address.
+
+        Returns ``(len(addrs), n_channels, units_per_channel, lanes)``:
+        the page at ``addrs[i]`` of bank ``unit * ports + port`` of
+        every unit.  Same pages and requests as :meth:`read_bank`
+        looped address-major, then channel, then unit — read as one
+        array and logged in bulk.
+        """
+        if not 0 <= port < self.ports:
+            raise PimExecError(
+                f"bank port {port} out of range [0, {self.ports})"
+            )
+        n_ch, n_u = self.n_channels, self.units_per_channel
+        pages = np.zeros(
+            (len(addrs), n_ch, n_u, self.lanes), dtype=self.np_dtype
+        )
+        for i, (row, col) in enumerate(addrs):
+            if self._vector is not None:
+                plane = self._vector.memory.get((port, int(row), int(col)))
+                if plane is not None:
+                    pages[i] = plane
+            else:
+                for ch, index, unit in self.iter_units():
+                    pages[i, ch, index] = unit.load_page(row, col, port)
+        per_addr = n_ch * n_u
+        self._emit_flat(
+            Op.READ,
+            [ch for ch in range(n_ch) for _ in range(n_u)] * len(addrs),
+            [u * self.ports + port for u in range(n_u)] * n_ch * len(addrs),
+            [row for row, _ in addrs for _ in range(per_addr)],
+            [col for _, col in addrs for _ in range(per_addr)],
+        )
+        return pages
 
     def broadcast_scalar(
         self,
@@ -455,6 +561,7 @@ class PimExecMachine:
         never touch row buffers.  The value rounds to the machine's
         dtype on assignment.
         """
+        self._check_channel(channel)
         if not 0 <= index < SRF_REGS:
             raise PimExecError(
                 f"SRF index {index} out of range [0, {SRF_REGS})"
@@ -466,6 +573,48 @@ class PimExecMachine:
                 unit.srf[index] = float(value)
         self._emit(Op.AB, channel, 0, row, col)
 
+    def broadcast_scalars(
+        self,
+        index: int,
+        values: _t.Sequence[float],
+        row: int = 0,
+        col: int = 0,
+        channels: _t.Optional[_t.Sequence[int]] = None,
+    ) -> None:
+        """AB-mode writes of ``SRF[index + i] = values[i]`` on every
+        target channel (default: all), in one all-channel call.
+
+        Same state and same requests as :meth:`broadcast_scalar` looped
+        scalar-major, channel-minor — one AB per scalar per channel —
+        but the vectorized tier writes the whole SRF slice of every
+        target channel in one array op and logs the requests in bulk.
+        """
+        targets = self._channels(channels)
+        if not (0 <= index and index + len(values) <= SRF_REGS):
+            raise PimExecError(
+                f"SRF slice [{index}, {index + len(values)}) out of "
+                f"range [0, {SRF_REGS})"
+            )
+        # round exactly as broadcast_scalar's item assignment does
+        scalars = np.empty(len(values), dtype=self.np_dtype)
+        for i, value in enumerate(values):
+            scalars[i] = float(value)
+        end = index + len(scalars)
+        if self._vector is not None:
+            srf = self._vector.srf
+            if targets == list(range(self.n_channels)):
+                srf[:, :, index:end] = scalars
+            else:
+                for ch in targets:
+                    srf[ch, :, index:end] = scalars
+        else:
+            for i, value in enumerate(scalars):
+                for ch in targets:
+                    for unit in self.units[ch]:
+                        unit.srf[index + i] = value
+        n = len(scalars)
+        self._push_block(targets, [Op.AB.code] * n, [row] * n, [col] * n)
+
     def broadcast_page(
         self,
         channel: int,
@@ -476,6 +625,7 @@ class PimExecMachine:
         col: int = 0,
     ) -> None:
         """AB-mode write of one GRF register in every unit of a channel."""
+        self._check_channel(channel)
         if not 0 <= index < GRF_REGS:
             raise PimExecError(
                 f"GRF index {index} out of range [0, {GRF_REGS})"
@@ -509,6 +659,7 @@ class PimExecMachine:
         self, channel: int, unit_index: int, space: str, index: int
     ) -> np.ndarray:
         """Read back one GRF register (an AB-mode column access)."""
+        self._check_channel(channel)
         if not 0 <= index < GRF_REGS:
             raise PimExecError(
                 f"GRF index {index} out of range [0, {GRF_REGS})"
@@ -561,14 +712,87 @@ class PimExecMachine:
 
         The single-step escape hatch for host-sequenced kernels (e.g.
         GEMV, which re-broadcasts an SRF scalar between steps); looped
-        kernels go through :meth:`load_kernel` + :meth:`run_kernel`.
+        kernels go through :meth:`load_kernel` + :meth:`run_kernel`,
+        and all-channel host-sequenced kernels through
+        :meth:`pim_step_all`.
         """
-        if command.is_control:
-            raise PimExecError(
-                f"{command.opcode.value} is sequencer control, not a "
-                "bank operation"
-            )
+        self._check_channel(channel)
+        _check_bank_command(command)
         self._step(channel, command, row, col)
+
+    def pim_step_all(
+        self,
+        commands: _t.Sequence[PimCommand],
+        row: int,
+        col: int,
+        channels: _t.Optional[_t.Sequence[int]] = None,
+    ) -> None:
+        """Execute ``commands`` in order on every target channel (default:
+        all) at (row, col) — host-sequenced all-channel lockstep.
+
+        Same state and same requests as :meth:`pim_step` looped
+        command-major, channel-minor (one PIM request per command per
+        channel).  The vectorized tier runs each command across every
+        target channel in one array op, and fuses the whole group into
+        one op over a register slice when
+        :func:`~repro.pimexec.regfile.fusion_plan` admits it; the
+        scalar grid executes unit by unit, command by command.
+        """
+        targets = self._channels(channels)
+        commands = tuple(commands)
+        if self._vector is not None:
+            # compiling rejects control opcodes before any step runs
+            steps = self._compiled_group(commands, targets)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in steps:
+                    step(row, col)
+            self._count_steps(targets, len(commands))
+        else:
+            for command in commands:
+                _check_bank_command(command)
+            for command in commands:
+                for ch in targets:
+                    for unit in self.units[ch]:
+                        unit.execute(command, row, col)
+        n = len(commands)
+        self._push_block(targets, [Op.PIM.code] * n, [row] * n, [col] * n)
+
+    def _compiled_group(
+        self, commands: _t.Tuple[PimCommand, ...], targets: _t.List[int]
+    ) -> _t.Tuple[_t.Callable, ...]:
+        """One compiled step per target selection (cached per group).
+
+        Keyed by command identity — hashing frozen commands field by
+        field would cost more than a fused step; the entry keeps the
+        commands alive, so their ids cannot be reused while cached.
+        """
+        key = (tuple(map(id, commands)), tuple(targets))
+        entry = self._groups.get(key)
+        if entry is None:
+            vector = self._vector
+            assert vector is not None
+            sels: _t.Tuple[_t.Tuple[int, ...], ...] = (
+                ((),)
+                if targets == list(range(self.n_channels))
+                else tuple((ch,) for ch in targets)
+            )
+            entry = (
+                commands,
+                tuple(vector.compile_group(commands, sel) for sel in sels),
+            )
+            self._groups[key] = entry
+        return entry[1]
+
+    def _count_steps(self, targets: _t.List[int], n_steps: int) -> None:
+        """Batched ``commands_executed``: every unit of every target
+        ran ``n_steps`` more commands."""
+        vector = self._vector
+        assert vector is not None
+        if targets == list(range(self.n_channels)):
+            vector.commands_executed += n_steps
+        else:
+            for ch in targets:
+                vector.commands_executed[ch] += n_steps
 
     def run_kernel(
         self,
@@ -653,10 +877,11 @@ class PimExecMachine:
         assert self._vector is not None
         driver = self.sequencers[targets[0]]
         others = [self.sequencers[ch] for ch in targets[1:]]
-        whole = len(targets) == self.n_channels
         vector = self._vector
         sels: _t.Tuple[_t.Tuple[int, ...], ...] = (
-            ((),) if whole else tuple((ch,) for ch in targets)
+            ((),)
+            if targets == list(range(self.n_channels))
+            else tuple((ch,) for ch in targets)
         )
         compiled: _t.Dict[int, _t.Tuple[_t.Callable, ...]] = {}
         rows_l: _t.List[int] = []
@@ -675,7 +900,7 @@ class PimExecMachine:
                     steps = compiled.get(id(command))
                     if steps is None:
                         steps = tuple(
-                            vector.compile_step(command, sel)
+                            vector.compile_group((command,), sel)
                             for sel in sels
                         )
                         compiled[id(command)] = steps
@@ -686,15 +911,12 @@ class PimExecMachine:
                     executed += n_targets
         finally:
             if rows_l:
-                # commands_executed, batched: every selected unit ran
-                # every dynamic instruction
+                # every selected unit ran every dynamic instruction
                 n_steps = len(rows_l)
-                if whole:
-                    vector.commands_executed += n_steps
-                else:
-                    for ch in targets:
-                        vector.commands_executed[ch] += n_steps
-                self._push_block(targets, rows_l, cols_l)
+                self._count_steps(targets, n_steps)
+                self._push_block(
+                    targets, [Op.PIM.code] * n_steps, rows_l, cols_l
+                )
             delta_instr = driver.instructions - before_instr
             delta_ctl = driver.control_steps - before_ctl
             for sequencer in others:
@@ -712,15 +934,14 @@ class PimExecMachine:
     ]:
         """The packed log as (op, channel, bank, row, col) arrays.
 
-        Lockstep blocks expand vectorized: each recorded step fans out
-        to one PIM request per target channel, channel-major within
-        the step — exactly the round-robin order the generic execution
-        loop appends.
+        All-channel blocks expand vectorized: each recorded AB/PIM step
+        fans out to one request per target channel, channel-major
+        within the step — exactly the order per-channel loops (and the
+        generic round-robin execution loop) append.
         """
         parts: _t.Tuple[list, list, list, list, list] = (
             [], [], [], [], [],
         )
-        pim_code = Op.PIM.code
         for chunk in self._iter_chunks():
             if chunk[0] == "flat":
                 _, ops_l, ch_l, bank_l, row_l, col_l = chunk
@@ -730,11 +951,11 @@ class PimExecMachine:
                 parts[3].append(np.array(row_l, dtype=np.int64))
                 parts[4].append(np.array(col_l, dtype=np.int64))
             else:
-                _, targets, rows_l, cols_l = chunk
+                _, targets, ops_l, rows_l, cols_l = chunk
                 n_steps = len(rows_l)
                 n_t = len(targets)
                 parts[0].append(
-                    np.full(n_steps * n_t, pim_code, dtype=np.uint8)
+                    np.repeat(np.array(ops_l, dtype=np.uint8), n_t)
                 )
                 parts[1].append(
                     np.tile(np.array(targets, dtype=np.int64), n_steps)

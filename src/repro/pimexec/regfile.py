@@ -62,7 +62,9 @@ from .commands import (
     SRF_REGS,
 )
 
-__all__ = ["DTYPES", "BankExecUnit", "VectorUnitArray", "UnitView"]
+__all__ = [
+    "DTYPES", "BankExecUnit", "VectorUnitArray", "UnitView", "fusion_plan",
+]
 
 #: Selectable arithmetic dtypes: name -> NumPy dtype.
 DTYPES: _t.Dict[str, np.dtype] = {
@@ -261,6 +263,85 @@ class BankExecUnit:
 #: unit), ``(channel,)`` (every unit of one channel), or
 #: ``(channel, unit)``.
 UnitSel = _t.Tuple[int, ...]
+
+#: One operand slot of a fused command group: the group's first operand
+#: and the registers it spans (1: every command names the same register
+#: or bank page; the group size: consecutive registers).
+_Span = _t.Tuple[Operand, int]
+
+
+def _operand_slots(
+    command: PimCommand,
+) -> _t.Tuple[_t.Optional[Operand], ...]:
+    """``(dst, src0, src1, src2)``, with MAD's implicit addend resolved."""
+    src2 = command.src2
+    if command.opcode is PimOpcode.MAD and src2 is None:
+        src2 = BankExecUnit._MAD_DEFAULT_ADDEND
+    return (command.dst, command.src0, command.src1, src2)
+
+
+def fusion_plan(
+    commands: _t.Sequence[PimCommand],
+) -> _t.Optional[_t.Tuple[_t.Optional[_Span], ...]]:
+    """How a command group at one ``(row, col)`` runs as one array op.
+
+    Returns the ``(dst, src0, src1, src2)`` spans of the fused op, or
+    ``None`` when the group must run command by command.  A group
+    fuses only when running it all at once cannot differ from running
+    it in order:
+
+    * every command has the same opcode and, slot by slot, the same
+      operand up to the register index;
+    * each slot's indices are all equal or consecutive (one register
+      slice);
+    * the destinations are distinct registers — a consecutive GRF
+      slice, never a bank page;
+    * no command reads another's destination: a source in the
+      destination's register file is either the destination slice
+      itself (each command reads its own register, as ``MAC`` does) or
+      lies wholly outside it.
+
+    A single command always fuses.
+    """
+    n = len(commands)
+    opcode = commands[0].opcode
+    if any(command.opcode is not opcode for command in commands):
+        return None
+    plan: _t.List[_t.Optional[_Span]] = []
+    for column in zip(*map(_operand_slots, commands)):
+        head = column[0]
+        if head is None:
+            plan.append(None)
+            continue
+        place = (head.space, head.row, head.col, head.unit)
+        if any(
+            op is None or (op.space, op.row, op.col, op.unit) != place
+            for op in column
+        ):
+            return None
+        indices = [op.index for op in column]
+        if indices.count(head.index) == n:
+            plan.append((head, 1))
+        elif indices == list(range(head.index, head.index + n)):
+            plan.append((head, n))
+        else:
+            return None
+    if n > 1 and plan[0] is not None:
+        dst, span = plan[0]
+        if dst.space == BANK or span != n:
+            return None
+        for slot in plan[1:]:
+            if slot is None or slot[0].space != dst.space:
+                continue
+            src, src_span = slot
+            own = src_span == n and src.index == dst.index
+            disjoint = (
+                src.index + src_span <= dst.index
+                or src.index >= dst.index + n
+            )
+            if not (own or disjoint):
+                return None
+    return tuple(plan)
 
 
 class VectorUnitArray:
@@ -496,29 +577,35 @@ class VectorUnitArray:
         self.write_operand(dst, result, row, col, sel)
 
     # ------------------------------------------------------------------
-    # compiled steps (the lockstep hot path)
+    # compiled steps (the host-sequenced and lockstep hot paths)
     # ------------------------------------------------------------------
     def _compile_reader(
-        self, operand: Operand, sel: UnitSel
+        self, operand: Operand, span: int, sel: UnitSel
     ) -> _t.Callable[[int, int], np.ndarray]:
         """A ``(row, col) -> value`` closure for one source operand.
 
-        Operand dispatch, port resolution, and index tuples are
-        resolved once here instead of on every dynamic instruction.
-        Bank reads return *views* (plus a shared read-only zero page
-        for unwritten pages) — safe because every opcode computes its
-        result into a fresh temporary before any write.
+        Values carry a register axis: ``(..., span, lanes)`` for bank
+        pages and GRF registers ``index .. index + span - 1``,
+        ``(..., span, 1)`` for SRF scalars (broadcast over lanes
+        exactly like the scalar unit's ``np.full(lanes, ...)`` page).
+        A bank page reads with ``span`` 1 — every command of a fused
+        group reads the same page.  Operand dispatch, port resolution,
+        and index tuples are resolved once here instead of on every
+        step.  Reads return *views* (of bank pages and registers, plus a
+        shared read-only zero page for unwritten pages) — safe because
+        every opcode computes its result into a fresh temporary, or
+        elementwise in place, before any other register is written.
         """
-        space = operand.space
-        if space == BANK:
+        if operand.space == BANK:
             port = self._port(
                 operand.unit
                 if operand.unit is not None and self.ports > 1
                 else 0
             )
             memory = self.memory
+            index = sel + (Ellipsis, None, slice(None))
             zeros = np.zeros(
-                self._sel_shape(sel) + (self.lanes,), dtype=self.np_dtype
+                self._sel_shape(sel) + (1, self.lanes), dtype=self.np_dtype
             )
             zeros.setflags(write=False)
             if operand.row is not None:
@@ -526,151 +613,150 @@ class VectorUnitArray:
 
                 def read(row: int, col: int) -> np.ndarray:
                     page = memory.get(key)
-                    return zeros if page is None else page[sel]
+                    return zeros if page is None else page[index]
 
             else:
 
                 def read(row: int, col: int) -> np.ndarray:
                     page = memory.get((port, row, col))
-                    return zeros if page is None else page[sel]
+                    return zeros if page is None else page[index]
 
             return read
-        if space == SRF:
-            srf = self.srf
-            index = self._reg_index(operand.index, sel)
-            return lambda row, col: srf[index][..., None]
-        arr = self.grf_a if space == GRF_A else self.grf_b
-        index = self._reg_index(operand.index, sel)
-        return lambda row, col: arr[index]
+        # register files are updated in place, never reallocated, so
+        # one view serves every step
+        view = self._register(operand, span, sel)
+        return lambda row, col: view
 
-    def _compile_writer(
+    def _register(
+        self, operand: Operand, span: int, sel: UnitSel
+    ) -> np.ndarray:
+        """View of registers ``index .. index + span - 1`` over ``sel``."""
+        index = self._reg_index(
+            slice(operand.index, operand.index + span), sel
+        )
+        if operand.space == SRF:
+            return self.srf[index][..., None]
+        return (self.grf_a if operand.space == GRF_A else self.grf_b)[
+            index
+        ]
+
+    def _compile_bank_writer(
         self, operand: Operand, sel: UnitSel
     ) -> _t.Callable[[np.ndarray, int, int], None]:
-        """A ``(value, row, col) -> None`` closure for the destination."""
-        space = operand.space
-        if space == BANK:
-            port = self._port(
-                operand.unit
-                if operand.unit is not None and self.ports > 1
-                else 0
-            )
-            memory = self.memory
-            grid = (
-                self.n_channels, self.units_per_channel, self.lanes,
-            )
-            np_dtype = self.np_dtype
-            fixed = (
-                (port, int(operand.row), int(_t.cast(int, operand.col)))
-                if operand.row is not None
-                else None
-            )
+        """A ``(value, row, col) -> None`` closure for a bank destination."""
+        port = self._port(
+            operand.unit
+            if operand.unit is not None and self.ports > 1
+            else 0
+        )
+        memory = self.memory
+        grid = (self.n_channels, self.units_per_channel, self.lanes)
+        np_dtype = self.np_dtype
+        fixed = (
+            (port, int(operand.row), int(_t.cast(int, operand.col)))
+            if operand.row is not None
+            else None
+        )
 
-            def write(value: np.ndarray, row: int, col: int) -> None:
-                key = fixed if fixed is not None else (port, row, col)
-                page = memory.get(key)
-                if page is None:
-                    page = np.zeros(grid, dtype=np_dtype)
-                    memory[key] = page
-                page[sel] = value
+        def write(value: np.ndarray, row: int, col: int) -> None:
+            key = fixed if fixed is not None else (port, row, col)
+            page = memory.get(key)
+            if page is None:
+                page = np.zeros(grid, dtype=np_dtype)
+                memory[key] = page
+            page[sel] = value[..., 0, :]
 
-            return write
-        if space == GRF_A:
-            arr = self.grf_a
-        elif space == GRF_B:
-            arr = self.grf_b
-        else:  # pragma: no cover - guarded by PimCommand validation
-            raise PimExecError("SRF cannot be a command destination")
-        index = self._reg_index(operand.index, sel)
+        return write
 
-        def write_reg(value: np.ndarray, row: int, col: int) -> None:
-            arr[index] = value
-
-        return write_reg
-
-    def compile_step(
-        self, command: PimCommand, sel: UnitSel = ()
+    def compile_group(
+        self, commands: _t.Sequence[PimCommand], sel: UnitSel = ()
     ) -> _t.Callable[[int, int], None]:
-        """A ``(row, col)`` closure executing ``command`` over ``sel``.
+        """A ``(row, col)`` closure executing ``commands`` in order.
 
-        Semantically :meth:`execute` minus the per-call overheads the
-        lockstep driver hoists: operand dispatch happens once at
-        compile time, the caller provides one surrounding
-        ``np.errstate`` block, and ``commands_executed`` is batched by
-        the caller (one array add for the whole kernel).  The
-        arithmetic expressions — and therefore dtype, rounding order,
-        and IEEE special-case behavior — are identical.
+        Semantically :meth:`execute` once per command, in order, minus
+        the per-call overheads the drivers hoist: operand dispatch
+        happens once at compile time, the caller provides one
+        surrounding ``np.errstate`` block, and ``commands_executed`` is
+        batched by the caller.  When :func:`fusion_plan` admits the
+        group it runs as *one* array op over a GRF/SRF register slice
+        (e.g. eight ``MAC GRF_B,c BANK SRF,c`` become one
+        ``grf_b[..., 0:8] += page * srf[..., 0:8]``); otherwise each
+        command runs as its own op, in order.  The arithmetic
+        expressions — and therefore dtype, rounding order, and IEEE
+        special-case behavior — are identical either way.
         """
-        opcode = command.opcode
-        if command.is_control:
-            raise PimExecError(
-                f"{opcode.value} is sequencer control, not a bank "
-                "operation"
-            )
+        commands = tuple(commands)
+        for command in commands:
+            if command.is_control:
+                raise PimExecError(
+                    f"{command.opcode.value} is sequencer control, not "
+                    "a bank operation"
+                )
+        plan = fusion_plan(commands) if commands else None
+        if plan is None:
+            steps = [self.compile_group((c,), sel) for c in commands]
+
+            def run_in_order(row: int, col: int) -> None:
+                for step in steps:
+                    step(row, col)
+
+            return run_in_order
+        opcode = commands[0].opcode
         if opcode is PimOpcode.NOP:
             return lambda row, col: None
-        dst = _t.cast(Operand, command.dst)
-        read0 = self._compile_reader(
-            _t.cast(Operand, command.src0), sel
-        )
-        # a GRF destination is one fixed array view, so the ufunc can
-        # write straight into it (``out=``) — the same elementwise loop
+        dst_slot, src0, src1, src2 = plan
+        dst, width = _t.cast(_Span, dst_slot)
+        read0 = self._compile_reader(*_t.cast(_Span, src0), sel)
+        # a GRF destination is one fixed register slice, so the ufunc
+        # writes straight into it (``out=``) — the same elementwise loop
         # as ``dst[...] = a + b``, minus one temporary per step; bank
-        # destinations keep the page-allocating writer
-        out: _t.Optional[np.ndarray] = None
-        if dst.space in (GRF_A, GRF_B):
-            arr = self.grf_a if dst.space == GRF_A else self.grf_b
-            out = arr[self._reg_index(dst.index, sel)]
-        write = None if out is not None else self._compile_writer(dst, sel)
-        if opcode in (PimOpcode.MOV, PimOpcode.FILL):
-            if out is not None:
-                return lambda row, col: np.copyto(out, read0(row, col))
-            return lambda row, col: write(read0(row, col), row, col)
-        read1 = self._compile_reader(
-            _t.cast(Operand, command.src1), sel
-        )
-        if opcode is PimOpcode.ADD:
-            if out is not None:
-                return lambda row, col: np.add(
-                    read0(row, col), read1(row, col), out=out
+        # destinations (single commands only) keep the page-allocating
+        # writer
+        if dst.space == BANK:
+            write = self._compile_bank_writer(dst, sel)
+            if opcode in (PimOpcode.MOV, PimOpcode.FILL):
+                return lambda row, col: write(read0(row, col), row, col)
+            read1 = self._compile_reader(*_t.cast(_Span, src1), sel)
+            if opcode is PimOpcode.ADD:
+                return lambda row, col: write(
+                    read0(row, col) + read1(row, col), row, col
                 )
-            return lambda row, col: write(
-                read0(row, col) + read1(row, col), row, col
-            )
-        if opcode is PimOpcode.MUL:
-            if out is not None:
-                return lambda row, col: np.multiply(
-                    read0(row, col), read1(row, col), out=out
+            if opcode is PimOpcode.MUL:
+                return lambda row, col: write(
+                    read0(row, col) * read1(row, col), row, col
                 )
-            return lambda row, col: write(
-                read0(row, col) * read1(row, col), row, col
-            )
-        if opcode is PimOpcode.MAC:
-            read_dst = self._compile_reader(dst, sel)
-            if out is not None:
-                return lambda row, col: np.add(
-                    read_dst(row, col),
-                    read0(row, col) * read1(row, col),
-                    out=out,
+            if opcode is PimOpcode.MAC:
+                read_dst = self._compile_reader(dst, 1, sel)
+                return lambda row, col: write(
+                    read_dst(row, col) + read0(row, col) * read1(row, col),
+                    row,
+                    col,
                 )
+            read2 = self._compile_reader(*_t.cast(_Span, src2), sel)
             return lambda row, col: write(
-                read_dst(row, col) + read0(row, col) * read1(row, col),
+                read0(row, col) * read1(row, col) + read2(row, col),
                 row,
                 col,
             )
-        # MAD
-        read2 = self._compile_reader(
-            command.src2 or self._MAD_DEFAULT_ADDEND, sel
-        )
-        if out is not None:
+        out = self._register(dst, width, sel)
+        if opcode in (PimOpcode.MOV, PimOpcode.FILL):
+            return lambda row, col: np.copyto(out, read0(row, col))
+        read1 = self._compile_reader(*_t.cast(_Span, src1), sel)
+        if opcode is PimOpcode.ADD:
             return lambda row, col: np.add(
-                read0(row, col) * read1(row, col),
-                read2(row, col),
-                out=out,
+                read0(row, col), read1(row, col), out=out
             )
-        return lambda row, col: write(
-            read0(row, col) * read1(row, col) + read2(row, col),
-            row,
-            col,
+        if opcode is PimOpcode.MUL:
+            return lambda row, col: np.multiply(
+                read0(row, col), read1(row, col), out=out
+            )
+        if opcode is PimOpcode.MAC:
+            return lambda row, col: np.add(
+                out, read0(row, col) * read1(row, col), out=out
+            )
+        read2 = self._compile_reader(*_t.cast(_Span, src2), sel)
+        return lambda row, col: np.add(
+            read0(row, col) * read1(row, col), read2(row, col), out=out
         )
 
     def __repr__(self) -> str:

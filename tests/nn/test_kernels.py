@@ -12,6 +12,7 @@ from repro.nn import (
     run_nn_kernel,
     softmax_kernel,
 )
+from repro.nn.kernels import _ref_gemm
 
 #: Small shapes so the whole matrix runs in seconds.
 SMALL = {
@@ -65,6 +66,61 @@ class TestBitExactness:
         }
         err = np.abs(outputs["fp16"] - outputs["fp64"]).max()
         assert 0.0 < err < 0.05
+
+
+def _ref_gemm_per_column(a_tiles, b, np_dtype):
+    """Oracle: one output column, one k-step, one small op at a time."""
+    t_count, k_count, units, lanes = a_tiles.shape
+    n = b.shape[1]
+    out = np.zeros((t_count, n, units, lanes), dtype=np_dtype)
+    for t in range(t_count):
+        for j in range(n):
+            acc = np.zeros((units, lanes), dtype=np_dtype)
+            for k in range(k_count):
+                acc = acc + a_tiles[t, k] * np.full(
+                    lanes, b[k, j], dtype=np_dtype
+                )
+            out[t, j] = acc
+    return out
+
+
+class TestReferenceGemm:
+    """The k-step-at-a-time GEMM reference equals the per-column loop."""
+
+    @pytest.mark.parametrize("dtype", ["fp16", "fp64"])
+    def test_matches_per_column_loop_with_special_values(self, dtype):
+        np_dtype = np.dtype(np.float16 if dtype == "fp16" else np.float64)
+        rng = np.random.default_rng(11)
+        # magnitudes wide enough to overflow binary16 products (inf),
+        # then inf - inf and 0 * inf (NaN), plus subnormal operands and
+        # products that underflow into the subnormal range
+        specials = np.array(
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, 2.0**-24, -(2.0**-20),
+             2.0**-15, 1e-3, -1e-3, 65504.0, 300.0]
+        )
+        a = rng.standard_normal((2, 6, 4, 16)) * 40.0
+        b = rng.standard_normal((6, 5)) * 40.0
+        # tile 1 x column 4: every product lands in the subnormal range
+        a[1] *= 2.5e-6
+        b[:, 4] *= 2.5e-4
+        a.flat[rng.choice(a.size, 120, replace=False)] = rng.choice(
+            specials, 120
+        )
+        head = b[:, :4]
+        head.flat[rng.choice(head.size, 8, replace=False)] = rng.choice(
+            specials, 8
+        )
+        a, b = a.astype(np_dtype), b.astype(np_dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _ref_gemm(a, b, np_dtype)
+            want = _ref_gemm_per_column(a, b, np_dtype)
+        assert got.dtype == want.dtype == np_dtype
+        assert got.tobytes() == want.tobytes()
+        # the inputs really exercise the special cases
+        assert np.isnan(got).any() and np.isinf(got).any()
+        if dtype == "fp16":
+            tiny = np.finfo(np.float16).smallest_normal
+            assert ((got != 0) & (np.abs(got) < tiny)).any()
 
 
 class TestBankGroups:

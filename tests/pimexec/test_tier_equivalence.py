@@ -25,7 +25,15 @@ import pytest
 
 from repro.memsys import MemSysConfig
 from repro.nn import NN_KERNEL_NAMES, build_nn_kernel
-from repro.pimexec import KERNEL_NAMES, PimExecMachine, build_kernel
+from repro.pimexec import (
+    KERNEL_NAMES,
+    Operand,
+    PimCommand,
+    PimExecMachine,
+    PimOpcode,
+    build_kernel,
+)
+from repro.pimexec.regfile import fusion_plan
 from repro.telemetry import ReplayTelemetry
 
 from tests.memsys.test_fastpath import assert_stats_equivalent
@@ -132,6 +140,118 @@ class TestUnitTierEquivalence:
             kernel.expected, dtype=out_v.dtype
         ).tobytes()
 
+    @pytest.mark.parametrize("bank_groups", (False, True))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("name", NN_KERNEL_NAMES)
+    def test_nn_packed_columns_identical(self, name, dtype, bank_groups):
+        """The packed request log is byte-equal across tiers without
+        ever materializing request objects."""
+        kernel = build_nn_kernel(
+            name, dtype=dtype, bank_groups=bank_groups, seed=3
+        )
+        columns = []
+        for unit_mode in ("scalar", "vectorized"):
+            machine = kernel.machine(unit_mode=unit_mode)
+            kernel.setup(machine)
+            kernel.execute(machine)
+            columns.append(machine._pack_columns())
+            assert machine._objects is None, unit_mode
+        for scalar_col, vector_col in zip(*columns):
+            assert scalar_col.dtype == vector_col.dtype
+            assert scalar_col.tobytes() == vector_col.tobytes()
+
+    @pytest.mark.parametrize("name", NN_KERNEL_NAMES)
+    def test_object_mode_emits_the_packed_stream(self, name):
+        """Touching ``requests`` before ``execute`` switches the machine
+        to object mode; the all-channel calls then append objects that
+        replay exactly like the packed log."""
+        kernel = build_nn_kernel(name, dtype="fp16", seed=3)
+        packed, objects = kernel.machine(), kernel.machine()
+        for machine in (packed, objects):
+            kernel.setup(machine)
+        assert objects.requests  # object mode from here on
+        for machine in (packed, objects):
+            kernel.execute(machine)
+        assert packed._objects is None
+        assert objects._objects is not None
+        assert kernel.check(objects)
+        assert repr(
+            dataclasses.asdict(packed.replay(engine="event").stats)
+        ) == repr(dataclasses.asdict(objects.replay(engine="event").stats))
+        assert [(r.op, r.addr) for r in packed.requests] == [
+            (r.op, r.addr) for r in objects.requests
+        ]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_aliasing_command_group_runs_in_order(self, dtype):
+        """A group that reads another command's destination does not
+        fuse; it runs command by command and matches the scalar grid
+        and a plain per-channel ``pim_step`` loop."""
+        macs = [
+            PimCommand(
+                PimOpcode.MAC,
+                dst=Operand.grf_b(c),
+                src0=Operand.bank(),
+                src1=Operand.srf(c),
+            )
+            for c in range(8)
+        ]
+        # each MOV reads the register the previous one wrote
+        chain = [
+            PimCommand(
+                PimOpcode.MOV, dst=Operand.grf_b(c + 1), src0=Operand.grf_b(c)
+            )
+            for c in range(3)
+        ]
+        # command 0 writes GRF_B0, which every later command reads
+        shared = [
+            PimCommand(
+                PimOpcode.ADD,
+                dst=Operand.grf_b(c),
+                src0=Operand.grf_b(c),
+                src1=Operand.grf_b(0),
+            )
+            for c in range(4)
+        ]
+        assert fusion_plan(macs) is not None
+        assert fusion_plan(chain) is None
+        assert fusion_plan(shared) is None
+        groups = (macs, chain, shared)
+        machines = []
+        for unit_mode, looped in (
+            ("scalar", False), ("vectorized", False), ("vectorized", True)
+        ):
+            machine = PimExecMachine(
+                MemSysConfig(n_channels=2), dtype=dtype, unit_mode=unit_mode
+            )
+            for ch in range(machine.n_channels):
+                for bank in range(machine.banks_per_channel):
+                    machine.write_bank(
+                        ch, bank, 0, 0,
+                        np.linspace(-3.0, 5.0, 16) * (bank + 1) + ch,
+                    )
+            machine.broadcast_scalars(0, np.linspace(0.5, 4.0, 8))
+            for group in groups:
+                if looped:
+                    for command in group:
+                        for ch in range(machine.n_channels):
+                            machine.pim_step(ch, command, 0, 0)
+                else:
+                    machine.pim_step_all(group, 0, 0)
+            machines.append(machine)
+        for other in machines[1:]:
+            assert_unit_state_identical(machines[0], other)
+            for a, b in zip(
+                machines[0]._pack_columns(), other._pack_columns()
+            ):
+                assert a.tobytes() == b.tobytes()
+        # in order, the chain copies GRF_B0 into B1..B3 and the shared
+        # ADD then gives each of them the same B0 + 2*B0
+        unit = machines[1].unit(1, 2)
+        assert unit.grf_b[1].tobytes() == unit.grf_b[2].tobytes()
+        assert unit.grf_b[1].tobytes() == unit.grf_b[3].tobytes()
+        assert unit.grf_b[1].tobytes() != unit.grf_b[4].tobytes()
+
     def test_fp16_special_values_cross_tier(self):
         """Inf/NaN-producing fp16 streams stay bit-identical."""
         machines = []
@@ -196,8 +316,13 @@ class TestReplayTierEquivalence:
 
     @pytest.mark.parametrize("name", ("gemm", "attention"))
     def test_nn_streams_fall_back_to_exact_tier(self, name):
-        """nn kernels interleave host passes with the PIM stream, so
-        the AB certificate must decline them — bit-identically."""
+        """The GEMM stream is all its all-bank requests (broadcasts and
+        PIM steps) followed by the trailing host READs of the result
+        tiles — 8,448 all-bank requests, then 512 READs, at the
+        ``(256 x 32) @ (32 x 32)`` benchmark shape; attention adds the
+        softmax's host passes between its GEMMs.  Host requests put a
+        stream outside the AB certificate, so both fall back to the
+        exact tier — bit-identically."""
         kernel = build_nn_kernel(name, dtype="fp16", seed=1)
         machine = kernel.machine()
         kernel.setup(machine)
