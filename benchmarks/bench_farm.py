@@ -11,7 +11,8 @@ The workload is built to hit the farm's profitable regime:
 * timestamped Poisson arrivals over 4 channels (``channel-interleaved``
   so the footprint actually spans channels, and shardable at all);
 * HBM2-class refresh enabled, which pins every channel — and therefore
-  every shard — to the incremental **exact tier** (~100k requests/s),
+  every shard — to the incremental **exact tier** (~250k requests/s
+  with timestamps and refresh on a 2-vCPU host),
   where parallelism pays.  The closed-form vectorized tier is so fast
   that process spawn overhead would dominate, so a vectorized workload
   is the wrong thing to farm (and the benchmark asserts no shard took

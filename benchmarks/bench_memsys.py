@@ -11,7 +11,7 @@ Regimes timed:
 * the same 1M streaming replay with **per-rank refresh enabled**
   (HBM2-class tREFI=3900/tRFC=350): the epoch-chunked closed form must
   hold the same >= 1M requests/s floor (the ISSUE-4 acceptance floor);
-* **FR-FCFS random traffic** through the batched-heap exact tier, and
+* **FR-FCFS random traffic** through the index-based exact tier, and
   **FCFS random traffic** through the arrival-fixed-point vectorized
   tier (the ISSUE-4 certificate lever);
 * the 1M streaming replay with **telemetry enabled** (per-request
@@ -162,8 +162,8 @@ def run_random(n=N_RANDOM):
     """Replay ``n`` random-traffic requests through the exact tier.
 
     Random traffic fails the fast path's closed-form certificates, so
-    this times the batched-heap exact fallback — the satellite lever
-    the ISSUE-3 perf item targets.
+    this times the exact tier: one index-based event loop over the
+    decoded arrays.
     """
     config = MemSysConfig()
     trace = synthesize_trace("random", n, config, seed=0, packed=True)

@@ -27,8 +27,9 @@ first: due refresh boundaries precharge their row buffers, and a
 selection that would start inside a blackout window stalls until the
 window ends (the whole channel under per-rank refresh; only requests
 touching the refreshing bank under per-bank refresh).  The gate is pure
-arithmetic on the clock, shared verbatim with the exact fast-path tier
-so both engines stall at bit-identical instants.
+arithmetic on the clock, which the exact fast-path tier repeats with the
+same float expressions, so both engines stall at bit-identical
+instants.
 
 Statistics flow through :mod:`repro.desim.stats`: a :class:`Tally` of
 request latencies, a :class:`TimeWeighted` queue length, a
@@ -130,8 +131,7 @@ class ChannelController:
         #: single-bank requests per bank, plus the count of queued
         #: requests currently hitting their bank's open row.  When the
         #: count is zero, :meth:`_select` skips the queue scan entirely
-        #: — the dominant case on random traffic, where the scan was
-        #: the exact replay tier's hot path.
+        #: — the dominant case on random traffic.
         self._track_hits = policy == FRFCFS
         self._bank_queue: _t.List[_t.List[MemRequest]] = [
             [] for _ in self.banks
@@ -167,12 +167,10 @@ class ChannelController:
     def _admit(self, request: MemRequest, now: float) -> None:
         """Timestamp and queue ``request`` at ``now``, updating stats.
 
-        The admission bookkeeping shared by the event engine (via
-        :meth:`enqueue`) and the fast-path replay engine (which drives
-        the controller with an incremental ready-time scan instead of a
-        simulator clock).  The request's flat bank index is resolved
-        here, once, so the FR-FCFS selection scan (the replay hot path)
-        does not re-derive it per candidate per selection.
+        The event engine's admission bookkeeping (via :meth:`enqueue`).
+        The request's flat bank index is resolved here, once, so the
+        FR-FCFS selection scan (the replay hot path) does not re-derive
+        it per candidate per selection.
         """
         request.arrival = now
         coords = request.coords
@@ -224,9 +222,9 @@ class ChannelController:
     def _service_delay(self, now: float) -> float:
         """Refresh gate: apply due row closures, return the stall (ns).
 
-        Called before every scheduling decision, by the event engine and
-        the exact fast-path tier alike (same floats in, same floats
-        out).  Crossing a refresh boundary precharges the refreshed
+        Called before every scheduling decision of the event engine (the
+        exact fast-path tier repeats the same float expressions).
+        Crossing a refresh boundary precharges the refreshed
         banks' row buffers.  Under *per-rank* refresh a decision inside
         the blackout window stalls the whole channel to the window's
         end.  Under *per-bank* (staggered) refresh the gate is
@@ -394,11 +392,10 @@ class ChannelController:
     def _begin_service(self, now: float) -> _t.Tuple[MemRequest, float]:
         """Dequeue the next request at ``now`` and drive its banks.
 
-        The service-start sequence shared by both engines: busy
-        transition, policy selection, queue-length update, and the bank
+        The event engine's service-start sequence: busy transition,
+        policy selection, queue-length update, and the bank
         state-machine access.  Returns ``(request, latency_ns)``; the
-        caller owns the passage of time (a desim timeout for the event
-        engine, ready-time arithmetic for the fast path).
+        caller owns the passage of time (a desim timeout).
         """
         self.utilization.transition("busy", now)
         request = self._select()

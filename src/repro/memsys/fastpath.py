@@ -77,24 +77,39 @@ host requests with all-bank commands always take tier 2.
 
 **Tier 2 — exact incremental replay.**  Traces that fail a certificate
 (e.g. random traffic under FR-FCFS, whose stray row hits let the
-scheduler reorder) fall back to a lean discrete replay that reproduces
-the event engine's ``(time, priority, insertion)`` scheduling order
-with plain tuples on a heap — no Event objects, no generators, no
-process bookkeeping — driving the *same* controller bookkeeping
-(:meth:`ChannelController._admit` / ``_service_delay`` /
-``_begin_service`` / ``_finish_service``) and the same Bank state
-machines, so its statistics are bit-identical to the event engine's by
-construction.  Trace timestamps become absolute-time injector
-resumptions; refresh stalls become retry occurrences at the blackout
-end, gated by the same shared ``_service_delay`` arithmetic.
+scheduler reorder) fall back to one index-based event loop over the
+decoded arrays (:func:`_replay_exact`): per-channel pending lists of
+trace indices, per-bank open rows, and plain ``(time, seq, code)``
+tuples on a heap that reproduce the event engine's ``(time, priority,
+insertion)`` scheduling order — no request objects, no Event objects or
+generators, and no controller method calls per request.  It applies the
+controller's selection rule (FR-FCFS oldest row hit first, with a
+queued-hit table that skips the scan when nothing hits; FCFS strict
+head; PIM skipped by the hit scan; AB a barrier both ways; per-rank and
+per-bank refresh gates, the per-bank gate's staged candidate included)
+and accumulates every collector with the same float operations in the
+same order as :class:`~repro.desim.stats.Tally`,
+:class:`~repro.desim.stats.TimeWeighted`,
+:class:`~repro.desim.stats.StateTimer` and :meth:`Bank.access
+<repro.memsys.bank.Bank.access>`.  Bit-identity therefore rests on that
+arithmetic, not on shared code: the event engine, driving
+:class:`~repro.memsys.controller.ChannelController`, is the oracle, and
+``tests/memsys/test_exact_tier.py`` checks every controller's
+:meth:`~repro.memsys.controller.ChannelController.export_state`, the
+recorder arrays and the object write-back with ``==`` across policy,
+row policy, queue depth, refresh, timestamps and traffic mix.  Results
+load through :meth:`ChannelController.load_state
+<repro.memsys.controller.ChannelController.load_state>`, the same hook
+tier 1 uses.  It runs at about 0.5M requests/s on random FR-FCFS traffic
+(about 2 µs per request on a 2-vCPU x86-64 host, Python 3.11).
 
 Differences from the event engine (both tiers):
 
 * no per-event trace records are emitted (``engine="auto"`` therefore
   only picks the fast path when no tracer is attached);
 * ``MemRequest.done`` completion events are not created;
-* per-request runtime fields (coords, timestamps, outcome, bits) are
-  written back for object traces but not for
+* per-request runtime fields (coords, bank index, timestamps, outcome,
+  bits) are written back for object traces but not for
   :class:`~repro.memsys.trace.PackedTrace` inputs, which never
   materialize request objects at all;
 * queue-occupancy extremes (``queue_len.minimum`` / ``maximum``, not
@@ -110,21 +125,22 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import itertools
 import math
 import typing as _t
 
 import numpy as np
 
+from ..errors import ReplayStateError
 from .addrmap import Coordinates
 from .bank import CLOSED, OUTCOMES, PER_RANK, latency_table
 from .controller import FRFCFS
-from .request import MemRequest, OPS_BY_CODE, Op
+from .request import MemRequest, Op
 from .trace import PackedTrace
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..telemetry import ReplayTelemetry
     from .bank import RefreshSchedule
+    from .controller import ChannelController
     from .system import MemorySystem, MemSysStats
 
 __all__ = ["replay_fast"]
@@ -142,10 +158,6 @@ _HIT, _MISS, _CONFLICT, _BROADCAST = 0, 1, 2, 3
 _OUTCOME_NAMES = OUTCOMES + ("broadcast",)
 _PIM_CODE = Op.PIM.code
 _AB_CODE = Op.AB.code
-
-#: Tier-2 scheduling vocabulary, mirroring the desim heap discipline.
-_URGENT, _NORMAL = 0, 1
-_COMPLETE, _INJECT, _WAKEUP, _RETRY = 0, 1, 2, 3
 
 #: Iteration cap for the arrival fixed point (each iteration is one
 #: vectorized pass; stalled-arrival chains longer than this are rare
@@ -174,8 +186,8 @@ def replay_fast(
     (``decode`` / ``certificate`` / ``tier-execute`` /
     ``stats-gather``) and its latency recorder adopts the per-request
     times — by reference (the vectorized plan arrays, or the exact
-    tier's request list), so capture costs nothing while the clock is
-    running and never perturbs the replay arithmetic.
+    tier's trace-ordered arrays), so capture costs nothing while the
+    clock is running and never perturbs the replay arithmetic.
 
     ``force_exact=True`` pins tier 2 without evaluating the vectorized
     certificates.  The replay-farm workers use this to reproduce the
@@ -240,7 +252,10 @@ def replay_fast(
             makespan = _commit_vector_plan(system, plan)
             system.last_replay_engine = "fast-vectorized"
             if requests is not None:
-                _write_back(requests, fields, plan)
+                _write_back(
+                    requests, fields, flat_bank,
+                    _plan_arrays(len(requests), plan),
+                )
         if recorder is not None:
             recorder._capture_plan(
                 op_codes, fields["channel"], fields["row"],
@@ -248,23 +263,21 @@ def replay_fast(
             )
     else:
         with phase("tier-execute"):
-            if requests is None:
-                time_list: _t.Iterable[_t.Optional[float]] = (
-                    times.tolist()
-                    if times is not None
-                    else itertools.repeat(None)
-                )
-                requests = [
-                    MemRequest(OPS_BY_CODE[code], addr, when)
-                    for code, addr, when in zip(
-                        op_codes.tolist(), addrs.tolist(), time_list
-                    )
-                ]
-            _assign_coords(requests, fields)
-            makespan = _replay_exact(system, requests, fields["channel"])
+            makespan, arrays = _replay_exact(
+                system,
+                op_codes,
+                fields["channel"],
+                flat_bank,
+                fields["row"],
+                times,
+            )
             system.last_replay_engine = "fast-exact"
+            if requests is not None:
+                _write_back(requests, fields, flat_bank, arrays)
         if recorder is not None:
-            recorder._capture_requests(requests)
+            recorder._capture_arrays(
+                _recorder_arrays(op_codes, fields, flat_bank, arrays)
+            )
     system.sim._now = makespan
     with phase("stats-gather"):
         return system.gather_stats()
@@ -819,22 +832,75 @@ def _fifo_certificate(
     return True
 
 
+# ----------------------------------------------------------------------
+# Committing results: one load path for both tiers
+# ----------------------------------------------------------------------
+def _load_channel(
+    controller: "ChannelController",
+    *,
+    latency: _t.Mapping[str, _t.Any],
+    queue: _t.Mapping[str, _t.Any],
+    utilization: _t.Mapping[str, _t.Any],
+    completed: int,
+    bits: int,
+    banks: _t.Sequence[_t.Tuple[int, int, int, _t.Optional[int]]],
+    refresh_applied: _t.Optional[_t.Sequence[int]] = None,
+) -> None:
+    """Load one channel's replay results through its public state hook.
+
+    Starts from the controller's own :meth:`ChannelController.export_state`
+    (so the collectors' start times and any field a tier does not
+    compute keep their values), overwrites what the tier computed, and
+    hands the result to :meth:`ChannelController.load_state`.  ``banks``
+    holds ``(hits, misses, conflicts, open_row)`` per bank.
+    """
+    state = controller.export_state()
+    state["latency"] = dict(latency)
+    state["queue_len"].update(queue)
+    state["utilization"].update(utilization)
+    state["completed"]["count"] = completed
+    state["bits_delivered"]["count"] = bits
+    state["banks"] = [
+        {
+            "hits": hits,
+            "misses": misses,
+            "conflicts": conflicts,
+            "open_row": open_row,
+        }
+        for hits, misses, conflicts, open_row in banks
+    ]
+    if refresh_applied is not None:
+        state["refresh_applied"] = list(refresh_applied)
+    controller.load_state(state)
+
+
 def _commit_vector_plan(
     system: "MemorySystem", plan: _t.List[_t.Optional[dict]]
 ) -> float:
-    """Write the closed-form results into the system's collectors.
+    """Load the closed-form results into the system's collectors.
 
-    Fills each controller's tally/counter/time-weighted collectors and
-    each bank's outcome counters with the values the event engine would
-    have accumulated, so :meth:`MemorySystem.gather_stats` (and any
+    Gives each controller's tally/counter/time-weighted collectors and
+    each bank's outcome counters the values the event engine would have
+    accumulated, so :meth:`MemorySystem.gather_stats` (and any
     post-replay introspection of banks or controllers) sees the same
     state.  Returns the replay makespan.
     """
     makespan = 0.0
+    depth = system.config.queue_depth
     for controller, data in zip(system.controllers, plan):
         if data is None:
             # the engine's idle controller: one zero-width transition
-            controller.utilization.transition("idle", 0.0)
+            _load_channel(
+                controller,
+                latency=_tally_state(()),
+                queue={},
+                utilization={
+                    "state": "idle", "since": 0.0, "totals": {"idle": 0.0},
+                },
+                completed=0,
+                bits=0,
+                banks=[(0, 0, 0, None)] * len(controller.banks),
+            )
             continue
         arrival = data["arrival"]
         start = data["start"]
@@ -842,35 +908,16 @@ def _commit_vector_plan(
         segments = data["segments"]
         n_c = arrival.shape[0]
         latency = finish - arrival
-        tally = controller.latency
         mean = latency.mean()
-        tally._n = n_c
-        tally._sum = float(latency.sum())
-        tally._mean = float(mean)
-        tally._m2 = float(np.square(latency - mean).sum())
-        tally._min = float(latency.min())
-        tally._max = float(latency.max())
-        controller.completed._count = n_c
         bits = data["bits"]
-        controller.bits_delivered._count = (
-            int(bits.sum())
-            if isinstance(bits, np.ndarray)
-            else int(bits) * n_c
-        )
-        queue = controller.queue_len
-        queue._integral = float((start - arrival).sum())
-        queue._value = 0.0
-        queue._last = float(start[-1])
-        queue._min = 0.0
         busy_until = float(finish[-1])
-        utilization = controller.utilization
         if segments is None:
             # line-rate: the queue never runs dry, so the channel is
             # busy end to end and every dequeue's freed slot is
             # refilled at the same instant — the peak occupancy is the
             # full queue (or the whole trace, when it fits in one fill)
-            queue._max = float(min(n_c, system.config.queue_depth))
-            utilization._totals = {"idle": 0.0, "busy": busy_until}
+            queue_max = float(min(n_c, depth))
+            totals = {"idle": 0.0, "busy": busy_until}
         else:
             # gapped arrivals: occupancy after the j-th admission,
             # counting earlier dequeues at the same instant as still
@@ -879,26 +926,43 @@ def _commit_vector_plan(
             occupancy = np.arange(1, n_c + 1) - np.searchsorted(
                 start, arrival, side="left"
             )
-            queue._max = float(
-                min(int(occupancy.max()), system.config.queue_depth)
-            )
+            queue_max = float(min(int(occupancy.max()), depth))
             seg_end = np.r_[segments[1:] - 1, n_c - 1]
-            busy_total = float(
-                (finish[seg_end] - start[segments]).sum()
-            )
-            utilization._totals = {
-                "idle": busy_until - busy_total,
-                "busy": busy_total,
-            }
-        utilization._state = "idle"
-        utilization._since = busy_until
-        for bank, counts, open_row in zip(
-            controller.banks, data["bank_counts"], data["open_final"]
-        ):
-            bank.hits = int(counts[_HIT])
-            bank.misses = int(counts[_MISS])
-            bank.conflicts = int(counts[_CONFLICT])
-            bank.open_row = open_row
+            busy_total = float((finish[seg_end] - start[segments]).sum())
+            totals = {"idle": busy_until - busy_total, "busy": busy_total}
+        _load_channel(
+            controller,
+            latency={
+                "n": n_c,
+                "mean": float(mean),
+                "m2": float(np.square(latency - mean).sum()),
+                "min": float(latency.min()),
+                "max": float(latency.max()),
+                "sum": float(latency.sum()),
+            },
+            queue={
+                "value": 0.0,
+                "last": float(start[-1]),
+                "integral": float((start - arrival).sum()),
+                "min": 0.0,
+                "max": queue_max,
+            },
+            utilization={
+                "state": "idle", "since": busy_until, "totals": totals,
+            },
+            completed=n_c,
+            bits=(
+                int(bits.sum())
+                if isinstance(bits, np.ndarray)
+                else int(bits) * n_c
+            ),
+            banks=[
+                (int(c[_HIT]), int(c[_MISS]), int(c[_CONFLICT]), open_row)
+                for c, open_row in zip(
+                    data["bank_counts"].tolist(), data["open_final"]
+                )
+            ],
+        )
         makespan = max(makespan, busy_until)
     return makespan
 
@@ -906,40 +970,35 @@ def _commit_vector_plan(
 def _write_back(
     requests: _t.List[MemRequest],
     fields: _t.Dict[str, np.ndarray],
-    plan: _t.List[_t.Optional[dict]],
+    flat_bank: np.ndarray,
+    arrays: _t.Mapping[str, np.ndarray],
 ) -> None:
-    """Fill per-request runtime fields from the closed-form arrays."""
-    n = len(requests)
-    arrival = np.empty(n)
-    start = np.empty(n)
-    finish = np.empty(n)
-    outcome = np.empty(n, dtype=np.int64)
-    bits = np.empty(n, dtype=np.int64)
-    for data in plan:
-        if data is None:
-            continue
-        idx = data["idx"]
-        arrival[idx] = data["arrival"]
-        start[idx] = data["start"]
-        finish[idx] = data["finish"]
-        outcome[idx] = data["outcome"]
-        bits[idx] = data["bits"]
+    """Fill per-request runtime fields from trace-ordered arrays.
+
+    ``arrays`` carries ``arrival``, ``start_service``, ``finish``,
+    ``outcome`` (codes) and ``bits``; all-bank PIM/AB requests get no
+    ``bank_index``, as the event engine's admission leaves them.
+    """
     columns = [
         fields["channel"].tolist(),
         fields["bankgroup"].tolist(),
         fields["bank"].tolist(),
         fields["row"].tolist(),
         fields["column"].tolist(),
-        arrival.tolist(),
-        start.tolist(),
-        finish.tolist(),
-        outcome.tolist(),
-        bits.tolist(),
+        flat_bank.tolist(),
+        arrays["arrival"].tolist(),
+        arrays["start_service"].tolist(),
+        arrays["finish"].tolist(),
+        arrays["outcome"].tolist(),
+        arrays["bits"].tolist(),
     ]
-    for request, ch, bg, bk, ro, col, arr, st, fin, out, nbits in zip(
-        requests, *columns
-    ):
+    pim, ab = Op.PIM, Op.AB
+    for (
+        request, ch, bg, bk, ro, col, index, arr, st, fin, out, nbits
+    ) in zip(requests, *columns):
         request.coords = Coordinates(ch, bg, bk, ro, col)
+        op = request.op
+        request.bank_index = None if op is pim or op is ab else index
         request.arrival = arr
         request.start_service = st
         request.finish = fin
@@ -947,133 +1006,493 @@ def _write_back(
         request.bits = nbits
 
 
+def _plan_arrays(
+    n: int, plan: _t.List[_t.Optional[dict]]
+) -> _t.Dict[str, np.ndarray]:
+    """Scatter the closed-form plan back into trace order."""
+    arrays = {
+        "arrival": np.empty(n),
+        "start_service": np.empty(n),
+        "finish": np.empty(n),
+        "outcome": np.empty(n, dtype=np.int64),
+        "bits": np.empty(n, dtype=np.int64),
+    }
+    for data in plan:
+        if data is None:
+            continue
+        idx = data["idx"]
+        arrays["arrival"][idx] = data["arrival"]
+        arrays["start_service"][idx] = data["start"]
+        arrays["finish"][idx] = data["finish"]
+        arrays["outcome"][idx] = data["outcome"]
+        arrays["bits"][idx] = data["bits"]
+    return arrays
+
+
+def _recorder_arrays(
+    op_codes: np.ndarray,
+    fields: _t.Dict[str, np.ndarray],
+    flat_bank: np.ndarray,
+    arrays: _t.Mapping[str, np.ndarray],
+) -> _t.Dict[str, np.ndarray]:
+    """The latency recorder's eight trace-ordered arrays."""
+    from ..telemetry.latency import ALL_BANKS
+
+    all_bank = (op_codes == _PIM_CODE) | (op_codes == _AB_CODE)
+    return {
+        "arrival": arrays["arrival"],
+        "start_service": arrays["start_service"],
+        "finish": arrays["finish"],
+        "outcome": arrays["outcome"],
+        "channel": fields["channel"].astype(np.int64),
+        "bank": np.where(all_bank, ALL_BANKS, flat_bank).astype(np.int64),
+        "row": fields["row"].astype(np.int64),
+        "op": op_codes.astype(np.int64),
+    }
+
+
 # ----------------------------------------------------------------------
 # Tier 2: exact incremental replay
 # ----------------------------------------------------------------------
-def _assign_coords(
-    requests: _t.List[MemRequest], fields: _t.Dict[str, np.ndarray]
-) -> None:
-    """Vectorized-decode counterpart of per-request ``system.route``."""
-    for request, ch, bg, bk, ro, col in zip(
-        requests,
-        fields["channel"].tolist(),
-        fields["bankgroup"].tolist(),
-        fields["bank"].tolist(),
-        fields["row"].tolist(),
-        fields["column"].tolist(),
-    ):
-        request.coords = Coordinates(ch, bg, bk, ro, col)
-
-
 def _replay_exact(
     system: "MemorySystem",
-    requests: _t.List[MemRequest],
+    op_codes: np.ndarray,
     channel: np.ndarray,
-) -> float:
+    flat_bank: np.ndarray,
+    row: np.ndarray,
+    times: _t.Optional[np.ndarray],
+) -> _t.Tuple[float, _t.Dict[str, np.ndarray]]:
     """Replay with the event engine's exact scheduling order, eventless.
 
-    A heap of plain ``(time, priority, seq, kind, channel, request)``
-    tuples reproduces the desim calendar's ``(time, priority,
-    insertion-order)`` discipline for the only occurrences that carry
-    state: request completions, injector resumptions (a freed queue
+    One index-based loop over the decoded arrays: per-channel pending
+    lists of trace indices, per-bank open rows, and a heap of plain
+    ``(time, seq, code)`` tuples for the only occurrences that carry
+    state — request completions, injector resumptions (a freed queue
     slot, or a trace timestamp coming due), controller wakeups (an
     enqueue into an idle channel), and refresh retries (a selection
-    stalled to the end of a blackout window).  All statistics flow
-    through the same controller and bank methods the event engine uses
-    — including the shared :meth:`ChannelController._service_delay`
-    refresh gate — in the same order, with the same timestamps, so the
-    resulting stats are bit-identical.  Returns the replay makespan.
+    stalled to the end of a blackout window).  ``seq`` is the insertion
+    order; the calendar's priority field is implied, since the only
+    urgent occurrence (the injector's start) is also the first
+    inserted, so pops follow the desim ``(time, priority, insertion)``
+    order exactly.
 
-    Occurrences are drained in *rounds*: each outer iteration reads the
-    heap's earliest timestamp once and pops every candidate ready at
-    that instant (completions, the injector resumption they release,
-    and the wakeups those admissions trigger all coincide in this
-    workload), so the common completion→inject→wakeup cascade costs one
-    round instead of three top-of-loop passes.  Pops stay globally
-    ordered by ``(time, priority, seq)`` — a round is just the
-    same-time prefix of the calendar — so the statistics are unchanged.
+    The selection rule is the controller's: FR-FCFS serves the oldest
+    queued row hit (skipping all-bank PIM requests, stopping at an AB
+    register broadcast, which is a barrier in both directions) and
+    otherwise the queue head; FCFS serves the head.  A queued-hit table
+    — queued host requests per ``(bank, row)`` plus one hit counter per
+    channel — lets FR-FCFS skip the scan whenever no queued request hits
+    its bank's open row.  Refresh gates mirror
+    :meth:`ChannelController._service_delay`, per-bank staged candidate
+    included.
+
+    Every collector is accumulated with the event engine's float
+    operations in its order: queue-length integrals and busy/idle totals
+    inline, as each admission, dequeue and transition happens; latency
+    Welford moments by folding each channel's latencies in completion
+    order, exactly as :meth:`~repro.desim.stats.Tally.record` would.  The
+    results load into the controllers through
+    :meth:`ChannelController.load_state`.  Returns the makespan and the
+    trace-ordered ``arrival`` / ``start_service`` / ``finish`` /
+    ``outcome`` / ``bits`` arrays.
     """
-    controllers = system.controllers
-    depth = system.config.queue_depth
-    for controller in controllers:
-        # mirror each controller process's startup idle transition
-        controller.utilization.transition("idle", 0.0)
-    idle = [True] * len(controllers)
-    woken = [False] * len(controllers)
-    heap: _t.List[tuple] = []
+    config = system.config
+    n_channels = config.n_channels
+    n_banks = config.banks_per_channel
+    depth = config.queue_depth
+    frfcfs = config.policy == FRFCFS
+    closed = config.row_policy == CLOSED
+    refresh = config.refresh_schedule()
+    rank_refresh = refresh is not None and refresh.granularity == PER_RANK
+    if rank_refresh:
+        trefi = refresh.trefi_ns
+        trfc = refresh.trfc_ns
+    table = latency_table(config.timing, float(config.precharge_ns))
+    # Bank.access latencies, indexed by outcome code
+    lat_of = tuple(table[name] for name in OUTCOMES)
+    lat_hit, lat_miss, lat_conflict = lat_of
+    page_bits = config.timing.page_bits
+    pim_code = _PIM_CODE
+    ab_code = _AB_CODE
+
+    n = int(op_codes.shape[0])
+    ops = op_codes.tolist()
+    chan = channel.tolist()
+    bank_of = flat_bank.tolist()
+    # one int per (bank, row) pair of a channel: the queued-hit table's
+    # key, and what a bank's open-row slot holds (-1 when closed)
+    key_of = (flat_bank + n_banks * row).tolist()
+    when_of = times.tolist() if times is not None else None
+
+    nan = math.nan
+    arrival = [nan] * n
+    start = [nan] * n
+    finish = [nan] * n
+    outcome = [_HIT] * n
+
+    channels = range(n_channels)
+    pending: _t.List[_t.List[int]] = [[] for _ in channels]
+    open_key = [[-1] * n_banks for _ in channels]
+    queued: _t.List[_t.Dict[int, int]] = [{} for _ in channels]
+    queued_hits = [0] * n_channels
+    pim_counts = [[0] * (3 * n_banks) for _ in channels]
+    refresh_applied = [[0] * n_banks for _ in channels]
+    latencies: _t.List[_t.List[float]] = [[] for _ in channels]
+    idle = [True] * n_channels
+    woken = [False] * n_channels
+    # TimeWeighted queue length: integral, last update, peak
+    q_integral = [0.0] * n_channels
+    q_last = [0.0] * n_channels
+    q_max = [0] * n_channels
+    # StateTimer: every controller starts with an idle transition at 0
+    busy = [False] * n_channels
+    since = [0.0] * n_channels
+    idle_total = [0.0] * n_channels
+    busy_total = [0.0] * n_channels
+
+    def latch(ch: int, b: int, key: int) -> None:
+        """Open ``key``'s row in bank ``b`` of ``ch`` (``-1`` closes the
+        bank), keeping the channel's queued-hit counter exact."""
+        okeys = open_key[ch]
+        old = okeys[b]
+        okeys[b] = key
+        if frfcfs:
+            table_c = queued[ch]
+            queued_hits[ch] += table_c.get(key, 0) - table_c.get(old, 0)
+
+    def bank_refresh_gate(ch: int, now: float) -> _t.Tuple[float, int]:
+        """The controller's per-bank refresh gate: ``(stall, staged
+        candidate)``."""
+        applied = refresh_applied[ch]
+        for b in range(n_banks):
+            epoch = refresh.bank_epoch(now, b)
+            if epoch >= 1 and epoch > applied[b]:
+                latch(ch, b, -1)
+                applied[b] = epoch
+        okeys = open_key[ch]
+        pend = pending[ch]
+        head = pend[0]
+        fallback = -1
+        earliest = math.inf
+        for j in pend:
+            op = ops[j]
+            if op == ab_code and j != head:
+                # register-broadcast barrier cuts both ways
+                break
+            if op == pim_code or op == ab_code:
+                fence = refresh.all_bank_fence(now)
+            else:
+                fence = refresh.bank_fence(now, bank_of[j])
+            if fence <= now:  # serviceable now
+                if fallback < 0:
+                    fallback = j
+                if (
+                    frfcfs
+                    and op != pim_code
+                    and op != ab_code
+                    and okeys[bank_of[j]] == key_of[j]
+                ):
+                    return 0.0, j  # oldest serviceable row hit
+            else:
+                earliest = min(earliest, fence)
+            if op == ab_code or not frfcfs:
+                break
+        if fallback >= 0:
+            return 0.0, fallback
+        return earliest - now, -1
+
+    heap: _t.List[_t.Tuple[float, int, int]] = [(0.0, 0, -1)]
     push = heapq.heappush
-    seq = itertools.count()
-    channel_of = channel.tolist()
-    n = len(requests)
+    pop = heapq.heappop
+    seq = 0
+    inject = -1  # heap code of an injector resumption
+    wakeup = n_channels  # codes [n_channels, 2 n_channels): wakeups
+    retry = 2 * n_channels  # codes from here on: refresh retries
     cursor = 0  # next request the injector will admit
     blocked_on = -1  # channel whose full queue blocks the injector
     now = 0.0
+    while heap:
+        now, _seq, code = pop(heap)
+        if code == inject:
+            blocked_on = -1
+            while cursor < n:
+                if when_of is not None:
+                    when = when_of[cursor]
+                    if when > now:
+                        # mirror the injector's absolute-time wait
+                        seq += 1
+                        push(heap, (when, seq, inject))
+                        break
+                target = chan[cursor]
+                pend = pending[target]
+                length = len(pend)
+                if length >= depth:
+                    blocked_on = target
+                    break
+                arrival[cursor] = now
+                if frfcfs and ops[cursor] < pim_code:
+                    key = key_of[cursor]
+                    table_c = queued[target]
+                    table_c[key] = table_c.get(key, 0) + 1
+                    if open_key[target][bank_of[cursor]] == key:
+                        queued_hits[target] += 1
+                pend.append(cursor)
+                # TimeWeighted.update(length + 1, now)
+                q_integral[target] += length * (now - q_last[target])
+                q_last[target] = now
+                if length >= q_max[target]:
+                    q_max[target] = length + 1
+                if idle[target] and not woken[target]:
+                    woken[target] = True
+                    seq += 1
+                    push(heap, (now, seq, wakeup + target))
+                cursor += 1
+            continue
+        if code < wakeup:  # a completion
+            ch = code
+            pend = pending[ch]
+            if not pend:
+                # StateTimer.transition("idle", now)
+                busy_total[ch] += now - since[ch]
+                busy[ch] = False
+                since[ch] = now
+                idle[ch] = True
+                woken[ch] = False
+                continue
+        elif code < retry:
+            ch = code - wakeup
+            idle[ch] = False
+            woken[ch] = False
+            pend = pending[ch]
+        else:  # a refresh stall expired: re-evaluate
+            ch = code - retry
+            pend = pending[ch]
 
-    def attempt_service(ch: int, at: float) -> None:
-        """Start the next service on ``ch``, or schedule a refresh
-        retry — the mirrored body of the engine's gated service loop."""
-        nonlocal blocked_on
-        controller = controllers[ch]
-        delay = controller._service_delay(at)
-        if delay > 0.0:
-            push(heap, (at + delay, _NORMAL, next(seq), _RETRY, ch, None))
-            return
-        served, latency = controller._begin_service(at)
+        # --- attempt a service on ch at now ---------------------------
+        candidate = -1
+        if rank_refresh:
+            # RefreshSchedule.epoch / rank_fence, inlined: a due boundary
+            # precharges every bank; a blackout stalls the channel
+            epoch = int(math.floor(now / trefi))
+            applied = refresh_applied[ch]
+            if epoch > applied[0]:
+                for b in range(n_banks):
+                    latch(ch, b, -1)
+                applied[:] = [epoch] * n_banks
+            if epoch >= 1:
+                fence = epoch * trefi + trfc
+                if now < fence:
+                    seq += 1
+                    push(heap, (now + (fence - now), seq, retry + ch))
+                    continue
+        elif refresh is not None:
+            delay, candidate = bank_refresh_gate(ch, now)
+            if delay > 0.0:
+                seq += 1
+                push(heap, (now + delay, seq, retry + ch))
+                continue
+        # StateTimer.transition("busy", now)
+        if busy[ch]:
+            busy_total[ch] += now - since[ch]
+        else:
+            idle_total[ch] += now - since[ch]
+            busy[ch] = True
+        since[ch] = now
+        okeys = open_key[ch]
+        if candidate >= 0:
+            i = candidate
+            pend.remove(i)
+        else:
+            i = pend[0]
+            if frfcfs and queued_hits[ch]:
+                for j in pend:  # oldest row hit first
+                    op = ops[j]
+                    if op == ab_code:
+                        # never reorder a younger hit across a register
+                        # broadcast
+                        break
+                    if op != pim_code and okeys[bank_of[j]] == key_of[j]:
+                        i = j
+                        break
+            if i == pend[0]:
+                del pend[0]
+            else:
+                pend.remove(i)
+        # TimeWeighted.update(len(pend), now)
+        length = len(pend)
+        q_integral[ch] += (length + 1) * (now - q_last[ch])
+        q_last[ch] = now
+        start[i] = now
+        op = ops[i]
+        if op < pim_code:  # host: one bank's row buffer (Bank.access)
+            b = bank_of[i]
+            key = key_of[i]
+            old = okeys[b]
+            if frfcfs:
+                table_c = queued[ch]
+                left = table_c[key] - 1
+                if left:
+                    table_c[key] = left
+                else:
+                    del table_c[key]
+                if old == key:
+                    queued_hits[ch] -= 1
+            if closed:
+                out = _MISS
+                latency = lat_miss
+            elif old == key:
+                out = _HIT
+                latency = lat_hit
+            else:
+                if old < 0:
+                    out = _MISS
+                    latency = lat_miss
+                else:
+                    out = _CONFLICT
+                    latency = lat_conflict
+                # latch(ch, b, key), inlined on the hot path
+                okeys[b] = key
+                if frfcfs:
+                    table_c = queued[ch]
+                    queued_hits[ch] += table_c.get(key, 0) - table_c.get(
+                        old, 0
+                    )
+        elif op == pim_code:  # every bank in lockstep, slowest wins
+            base = key_of[i] - bank_of[i]
+            counts = pim_counts[ch]
+            latency = 0.0
+            out = _HIT
+            for b in range(n_banks):
+                key = base + b
+                old = okeys[b]
+                if closed:
+                    bank_out = _MISS
+                elif old == key:
+                    bank_out = _HIT
+                else:
+                    bank_out = _MISS if old < 0 else _CONFLICT
+                    latch(ch, b, key)
+                counts[3 * b + bank_out] += 1
+                if lat_of[bank_out] > latency:
+                    latency = lat_of[bank_out]
+                    out = bank_out
+        else:  # AB register broadcast: one column access, no row buffer
+            out = _BROADCAST
+            latency = lat_hit
+        outcome[i] = out
+        done = now + latency
+        finish[i] = done
+        latencies[ch].append(done - arrival[i])
         if blocked_on == ch:
             blocked_on = -1
-            push(heap, (at, _NORMAL, next(seq), _INJECT, -1, None))
-        push(
-            heap,
-            (at + latency, _NORMAL, next(seq), _COMPLETE, ch, served),
-        )
+            seq += 1
+            push(heap, (now, seq, inject))
+        seq += 1
+        push(heap, (done, seq, ch))
 
-    push(heap, (0.0, _URGENT, next(seq), _INJECT, -1, None))
-    pop = heapq.heappop
-    while heap:
-        round_time = heap[0][0]
-        while heap and heap[0][0] == round_time:
-            now, _prio, _seq, kind, ch, request = pop(heap)
-            if kind == _COMPLETE:
-                controller = controllers[ch]
-                controller._finish_service(request, now)
-                if controller.pending:
-                    attempt_service(ch, now)
-                else:
-                    controller.utilization.transition("idle", now)
-                    idle[ch] = True
-                    woken[ch] = False
-            elif kind == _INJECT:
-                blocked_on = -1
-                while cursor < n:
-                    pending_request = requests[cursor]
-                    when = pending_request.timestamp
-                    if when is not None and when > now:
-                        # mirror the injector's absolute-time wait
-                        push(
-                            heap,
-                            (when, _NORMAL, next(seq), _INJECT, -1, None),
-                        )
-                        break
-                    target = channel_of[cursor]
-                    controller = controllers[target]
-                    if len(controller.pending) >= depth:
-                        blocked_on = target
-                        break
-                    controller._admit(pending_request, now)
-                    if idle[target] and not woken[target]:
-                        woken[target] = True
-                        push(
-                            heap,
-                            (
-                                now, _NORMAL, next(seq), _WAKEUP,
-                                target, None,
-                            ),
-                        )
-                    cursor += 1
-            elif kind == _WAKEUP:
-                idle[ch] = False
-                woken[ch] = False
-                attempt_service(ch, now)
-            else:  # _RETRY: a refresh stall expired; re-evaluate
-                attempt_service(ch, now)
-    return now
+    finish_array = np.array(finish)
+    _check_progress(finish_array, channel)
+    outcome_array = np.array(outcome, dtype=np.int64)
+    pim = op_codes == pim_code
+    host = ~pim & (op_codes != ab_code)
+    # Bank.access counters: host accesses counted from their outcome
+    # codes, plus the per-bank tallies of the PIM lockstep accesses
+    bank_counts = np.bincount(
+        (channel[host] * n_banks + flat_bank[host]) * 3
+        + outcome_array[host],
+        minlength=n_channels * n_banks * 3,
+    ).reshape(n_channels, n_banks, 3) + np.array(
+        pim_counts, dtype=np.int64
+    ).reshape(n_channels, n_banks, 3)
+    completed = np.bincount(channel, minlength=n_channels).tolist()
+    pim_completed = np.bincount(
+        channel[pim], minlength=n_channels
+    ).tolist()
+    for ch, controller in enumerate(system.controllers):
+        okeys = open_key[ch]
+        totals = {"idle": idle_total[ch]}
+        if completed[ch]:
+            # a channel that served anything left the busy state
+            totals["busy"] = busy_total[ch]
+        _load_channel(
+            controller,
+            latency=_tally_state(latencies[ch]),
+            queue={
+                "value": 0.0,
+                "last": q_last[ch],
+                "integral": q_integral[ch],
+                "min": 0.0,
+                "max": float(q_max[ch]),
+            },
+            utilization={
+                "state": "idle", "since": since[ch], "totals": totals,
+            },
+            completed=completed[ch],
+            # a PIM request moves one page per bank, the rest one page
+            bits=page_bits
+            * (completed[ch] + (n_banks - 1) * pim_completed[ch]),
+            banks=[
+                (
+                    hits,
+                    misses,
+                    conflicts,
+                    None if okeys[b] < 0 else (okeys[b] - b) // n_banks,
+                )
+                for b, (hits, misses, conflicts) in enumerate(
+                    bank_counts[ch].tolist()
+                )
+            ],
+            refresh_applied=refresh_applied[ch],
+        )
+    return now, {
+        "arrival": np.array(arrival),
+        "start_service": np.array(start),
+        "finish": finish_array,
+        "outcome": outcome_array,
+        "bits": np.where(pim, page_bits * n_banks, page_bits).astype(
+            np.int64
+        ),
+    }
+
+
+def _tally_state(values: _t.Iterable[float]) -> dict:
+    """:meth:`~repro.desim.stats.Tally.state_dict` after recording
+    ``values`` in order — the same Welford float operations as
+    :meth:`Tally.record <repro.desim.stats.Tally.record>`."""
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    total = 0.0
+    low = math.inf
+    high = -math.inf
+    for value in values:
+        count += 1
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+        total += value
+        if value < low:
+            low = value
+        if value > high:
+            high = value
+    return {
+        "n": count, "mean": mean, "m2": m2,
+        "min": low, "max": high, "sum": total,
+    }
+
+
+def _check_progress(finish: np.ndarray, channel: np.ndarray) -> None:
+    """Progress invariant: a drained calendar finished every request.
+
+    Raises :class:`~repro.errors.ReplayStateError` naming the first
+    trace index that never completed and its channel, rather than
+    returning statistics for fewer requests than the trace holds.
+    """
+    stuck = np.flatnonzero(np.isnan(finish))
+    if stuck.size:
+        index = int(stuck[0])
+        raise ReplayStateError(
+            f"exact replay drained its calendar with {stuck.size} "
+            f"request(s) unfinished; the first is trace index {index} "
+            f"on channel {int(channel[index])}"
+        )

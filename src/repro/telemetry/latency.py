@@ -2,13 +2,15 @@
 
 Both engines already *know* every request's arrival, service start, and
 finish: the event engine stamps them onto :class:`MemRequest` objects as
-its calendar advances, and the vectorized fast-path tier solves them in
-closed form as per-channel arrays.  :class:`LatencyRecorder` exposes
-those times as trace-ordered numpy arrays without changing either
+its calendar advances, the vectorized fast-path tier solves them in
+closed form as per-channel arrays, and the exact fast-path tier fills
+trace-ordered arrays as its loop runs.  :class:`LatencyRecorder`
+exposes those times as trace-ordered numpy arrays without changing any
 engine's arithmetic — the capture stores *references* (the request list,
-or the fast path's plan arrays) during replay and defers all array
-assembly to first access, so recording costs nothing measurable while
-the clock is hot (the <5% overhead floor of ``bench_memsys``).
+the fast path's plan arrays, or the exact tier's arrays) during replay
+and defers the remaining assembly to first access, so recording costs
+nothing measurable while the clock is hot (the <5% overhead floor of
+``bench_memsys``).
 
 Because the fast path is certified bit-exact against the event engine,
 the recorded ``arrival`` / ``start_service`` / ``finish`` arrays are
@@ -57,8 +59,8 @@ ALL_BANKS = -1
 class LatencyRecorder:
     """Trace-ordered per-request times, captured lazily from a replay.
 
-    Populated by the replay engines through one of the two private
-    capture hooks; everything public is derived on first access:
+    Populated by the replay engines through one of the private capture
+    hooks; everything public is derived on first access:
 
     * :attr:`arrival`, :attr:`start_service`, :attr:`finish` — the
       engine's exact per-request instants (ns, trace order);
@@ -87,8 +89,8 @@ class LatencyRecorder:
     def _capture_requests(
         self, requests: _t.Sequence["MemRequest"]
     ) -> None:
-        """Adopt a fully-replayed request list (event engine, or the
-        fast path's exact tier — both fill every runtime field)."""
+        """Adopt a fully-replayed request list (the event engine, which
+        fills every runtime field)."""
         self._guard_single_capture()
         self._requests = requests
 
@@ -115,11 +117,11 @@ class LatencyRecorder:
     ) -> None:
         """Adopt already-assembled trace-ordered arrays.
 
-        The replay farm's merge path: shard workers record through
-        their own recorders, the supervisor scatters the shard arrays
-        back to trace order and hands the merged dict here — the same
-        eight keys :meth:`_assemble` produces, so every derived
-        property behaves identically.
+        The fast path's exact tier hands over the arrays its loop
+        fills, and the replay farm's merge path the shard arrays its
+        supervisor scattered back to trace order — the same eight keys
+        :meth:`_assemble` produces, so every derived property behaves
+        identically.
         """
         self._guard_single_capture()
         expected = {

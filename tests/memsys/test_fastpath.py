@@ -308,6 +308,7 @@ class TestFastPathSideEffects:
             assert fast_system.last_replay_engine == expected_tier
             for event_req, fast_req in zip(event_trace, fast_trace):
                 assert fast_req.coords == event_req.coords
+                assert fast_req.bank_index == event_req.bank_index
                 assert fast_req.arrival == event_req.arrival
                 assert fast_req.start_service == event_req.start_service
                 assert fast_req.finish == event_req.finish
@@ -495,3 +496,85 @@ class TestAbCertificate:
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
         assert_stats_equivalent(event_stats, fast_stats, rel=None)
+
+
+def _assert_state_close(actual, expected, path=""):
+    """Recursive export_state comparison: integers, strings and None
+    exactly, floats to float-reduction tolerance."""
+    if isinstance(expected, dict):
+        assert set(actual) == set(expected), path
+        for key in expected:
+            _assert_state_close(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            _assert_state_close(a, e, f"{path}[{index}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=REL, abs=1e-9), path
+    else:
+        assert actual == expected, path
+
+
+class TestVectorCommit:
+    """The vectorized tier loads its closed-form results through
+    ``ChannelController.load_state``, one call per controller, and the
+    loaded state matches the event engine's collectors."""
+
+    def _traces(self):
+        config = MemSysConfig(n_channels=2, scheme="channel-interleaved")
+        ab = ab_all_bank_trace(config, 128)
+        pim = pim_all_bank_trace(config, 128)
+        refresh = MemSysConfig(
+            n_channels=2,
+            scheme="channel-interleaved",
+            trefi_ns=500.0,
+            trfc_ns=60.0,
+        )
+        return {
+            "streaming": (config, synthesize_trace("sequential", 512, config)),
+            "pim-ab": (config, [r for pair in zip(ab, pim) for r in pair]),
+            "timestamped": (
+                config,
+                synthesize_trace(
+                    "sequential", 512, config, interarrival_ns=3.0
+                ),
+            ),
+            "per-rank-refresh": (
+                refresh,
+                synthesize_trace("sequential", 512, refresh),
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["streaming", "pim-ab", "timestamped", "per-rank-refresh"]
+    )
+    def test_commit_loads_engine_state(self, case, monkeypatch):
+        from repro.memsys.controller import ChannelController
+
+        config, trace = self._traces()[case]
+        copy = lambda: [
+            MemRequest(r.op, r.addr, r.timestamp) for r in trace
+        ]
+        event_system = MemorySystem(config)
+        event_system.replay(copy(), engine="event")
+        loads = []
+        original = ChannelController.load_state
+
+        def spy(controller, state):
+            loads.append(controller.channel_id)
+            return original(controller, state)
+
+        monkeypatch.setattr(ChannelController, "load_state", spy)
+        fast_system = MemorySystem(config)
+        fast_system.replay(copy(), engine="fast")
+        assert fast_system.last_replay_engine == "fast-vectorized"
+        assert loads == list(range(config.n_channels))
+        for event_ctrl, fast_ctrl in zip(
+            event_system.controllers, fast_system.controllers
+        ):
+            expected = event_ctrl.export_state()
+            actual = fast_ctrl.export_state()
+            # the closed form applies refresh epochs as fences, without
+            # the controller's lazy per-bank bookkeeping
+            del expected["refresh_applied"], actual["refresh_applied"]
+            _assert_state_close(actual, expected)

@@ -1,11 +1,13 @@
-"""The FR-FCFS per-bank open-row table must never change selections.
+"""The FR-FCFS open-row tables must never change selections.
 
-``ChannelController._select`` skips the queue scan when the open-row
-table says no queued request hits.  These tests replay traces against
-a *reference* controller whose ``_select`` always runs the full scan
-(the pre-table implementation) and require bit-identical statistics,
-so an open-row table that ever under-counts hits — skipping a scan
-that would have hoisted one — cannot land silently.
+``ChannelController._select`` skips the queue scan when its open-row
+table says no queued request hits, and the exact fast-path tier skips
+its own scan on the same condition, read from its queued-hit table.
+These tests replay traces through both against the event engine running
+a *reference* ``_select`` that always runs the full scan (the pre-table
+implementation) and require bit-identical results, so a table that ever
+under-counts hits — skipping a scan that would have hoisted one —
+cannot land silently.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.memsys import (
     synthesize_trace,
 )
 from repro.memsys.controller import ChannelController
+from repro.memsys.fastpath import replay_fast
 
 
 def _reference_select(self):
@@ -41,15 +44,25 @@ def _reference_select(self):
     return self.pending[0]
 
 
+def _replay(trace, config, engine):
+    """Replay on ``engine``; ``"fast"`` pins the exact fast-path tier
+    (the vectorized tier has no selection to skip)."""
+    system = MemorySystem(config)
+    if engine == "fast":
+        system._replayed = True
+        stats = replay_fast(system, trace, force_exact=True)
+        assert system.last_replay_engine == "fast-exact"
+    else:
+        stats = system.replay(trace, engine=engine)
+    return stats.summary(), [c.export_state() for c in system.controllers]
+
+
 def _stats_pair(trace_builder, config, engine, monkeypatch):
-    table = MemorySystem(config).replay(
-        trace_builder(), engine=engine
-    ).summary()
+    """``engine``'s result, and the full-scan event engine's."""
+    table = _replay(trace_builder(), config, engine)
     with monkeypatch.context() as patch:
         patch.setattr(ChannelController, "_select", _reference_select)
-        reference = MemorySystem(config).replay(
-            trace_builder(), engine=engine
-        ).summary()
+        reference = _replay(trace_builder(), config, "event")
     return table, reference
 
 
@@ -88,45 +101,59 @@ def test_selection_matches_reference_under_refresh(
     assert table == reference
 
 
+def _pim_ab_mix(config):
+    """Random host traffic with a PIM or AB request every 7th slot."""
+    amap = config.address_map()
+    rng = np.random.default_rng(3)
+    requests = []
+    host = synthesize_trace("random", 600, config, seed=3)
+    for i, request in enumerate(host):
+        requests.append(request)
+        if i % 7 == 0:
+            row = int(rng.integers(0, config.rows_per_bank))
+            coords = amap.decode(0)
+            addr = amap.encode(
+                coords.__class__(channel=i % config.n_channels, row=row)
+            )
+            requests.append(MemRequest(Op.PIM if i % 14 else Op.AB, addr))
+    return requests
+
+
 def test_selection_matches_reference_with_pim_and_ab(monkeypatch):
     """Mixed host/PIM/AB streams exercise the all-bank rescans."""
     config = MemSysConfig()
-    amap = config.address_map()
+    table, reference = _stats_pair(
+        lambda: _pim_ab_mix(config), config, "event", monkeypatch
+    )
+    assert table == reference
 
-    def build():
-        rng = np.random.default_rng(3)
-        requests = []
-        host = synthesize_trace("random", 600, config, seed=3)
-        for i, request in enumerate(host):
-            requests.append(request)
-            if i % 7 == 0:
-                row = int(rng.integers(0, config.rows_per_bank))
-                coords = amap.decode(0)
-                addr = amap.encode(
-                    coords.__class__(
-                        channel=i % config.n_channels, row=row
-                    )
-                )
-                requests.append(
-                    MemRequest(Op.PIM if i % 14 else Op.AB, addr)
-                )
-        return requests
 
-    config_stats = MemorySystem(config).replay(
-        build(), engine="event"
-    ).summary()
-    with monkeypatch.context() as patch:
-        patch.setattr(ChannelController, "_select", _reference_select)
-        reference = MemorySystem(config).replay(
-            build(), engine="event"
-        ).summary()
-    assert config_stats == reference
+@pytest.mark.parametrize("granularity", [None, "per-rank", "per-bank"])
+def test_fast_selection_matches_reference_with_pim_and_ab(
+    granularity, monkeypatch
+):
+    """The exact tier's queued-hit table against the full-scan event
+    engine, on the PIM/AB mix (and under refresh, whose precharges
+    also move open rows)."""
+    config = (
+        MemSysConfig()
+        if granularity is None
+        else MemSysConfig(
+            trefi_ns=500.0, trfc_ns=60.0, refresh_granularity=granularity
+        )
+    )
+    table, reference = _stats_pair(
+        lambda: _pim_ab_mix(config), config, "fast", monkeypatch
+    )
+    assert table == reference
 
 
 def test_hit_count_reaches_zero_after_replay():
     config = MemSysConfig()
     system = MemorySystem(config)
-    system.replay(synthesize_trace("random", 1_000, config, seed=1))
+    system.replay(
+        synthesize_trace("random", 1_000, config, seed=1), engine="event"
+    )
     for controller in system.controllers:
         assert controller._queued_hits == 0
         assert all(not queue for queue in controller._bank_queue)
