@@ -10,7 +10,7 @@ full channel queue delays injection into *every* channel.  A uniformly
 timestamped trace whose every request is admitted exactly at its
 timestamp decouples the channels — each controller then sees exactly
 the same arrival sequence under sharded replay as under global replay,
-and the per-channel collector states (and hence every reduced
+and the per-request times and bank states (and hence every reduced
 statistic) are identical bit for bit.
 
 The planner therefore marks a plan shardable only for timestamped
@@ -89,8 +89,8 @@ def _feed(digest: "hashlib._Hash", value: _t.Any) -> None:
 def canonical_checksum(value: _t.Any) -> str:
     """SHA-256 over a canonical encoding of ``value``.
 
-    Used by shard workers to seal their result payload (collector
-    states, latency arrays, makespan) before it crosses the process
+    Used by shard workers to seal their result payload (bank states,
+    latency arrays, makespan) before it crosses the process
     boundary; the supervisor recomputes it on receipt and raises
     :class:`~repro.errors.ResultIntegrityError` on mismatch.
     """

@@ -2,12 +2,12 @@
 
 :func:`replay_farm` shards a timestamped trace by channel
 (:class:`~repro.farm.planner.ShardPlanner`), replays each shard in an
-isolated worker, and merges the raw collector states back into a fresh
-:class:`~repro.memsys.MemorySystem` whose
-:meth:`~repro.memsys.MemorySystem.gather_stats` then computes **bit-
-identical** statistics to a single-process replay — the same reduction
-code runs on identical collector states, so every float matches to the
-last mantissa bit.
+isolated worker, and merges the shards' per-request arrays and bank
+states back into a fresh :class:`~repro.memsys.MemorySystem`.  The merge
+scatters the arrays back to trace order and runs the same statistics
+reduction (:func:`~repro.memsys.system.reduce_stats`) a single-process
+replay runs on the same arrays, so every float matches to the last
+mantissa bit — whichever fast-path tier each shard's worker picked.
 
 Fault tolerance is the supervisor's job: per-attempt deadlines and
 heartbeat silence detection (:class:`~repro.errors.ShardTimeout`),
@@ -68,12 +68,6 @@ MODES = ("auto", "process", "inprocess")
 
 #: Exit code a chaos-killed worker dies with (distinguishable from 0).
 _CHAOS_EXIT = 87
-
-#: Internal engine token: the fast path with tier 2 pinned
-#: (``replay_fast(force_exact=True)``).  Workers are re-dispatched with
-#: this when the first round's tiers came back mixed — see
-#: :func:`replay_farm`.
-_EXACT_TIER = "fast-exact"
 
 #: The eight trace-ordered arrays a shard result must carry.
 _ARRAY_KEYS = (
@@ -229,7 +223,6 @@ class FarmReport:
     crashes: int = 0
     integrity_failures: int = 0
     degraded_shards: int = 0
-    harmonized_shards: int = 0
     fell_back_to_single: bool = False
     fallback_reason: str = ""
     shards: _t.List[ShardOutcome] = dataclasses.field(
@@ -248,7 +241,6 @@ class FarmReport:
             "crashes": self.crashes,
             "integrity_failures": self.integrity_failures,
             "degraded_shards": self.degraded_shards,
-            "harmonized_shards": self.harmonized_shards,
             "fell_back_to_single": self.fell_back_to_single,
             "fallback_reason": self.fallback_reason,
             "shards": [shard.to_dict() for shard in self.shards],
@@ -283,13 +275,14 @@ def _run_shard(
 ) -> _t.Dict[str, _t.Any]:
     """Replay one shard on a fresh system; return the sealed payload.
 
-    The payload carries the raw collector state of every owned
-    channel, the shard's trace-ordered latency arrays, the makespan,
-    the no-backpressure certificate (recorded arrivals == trace
-    timestamps), and a :func:`~repro.farm.planner.canonical_checksum`
-    seal computed over all of the above.  Chaos faults are applied
-    here — where real failures strike — so the supervisor cannot tell
-    injected failures from genuine ones.
+    The payload carries the bank state of every owned channel
+    (:meth:`~repro.memsys.ChannelController.export_state`), the shard's
+    trace-ordered latency arrays, the makespan, the no-backpressure
+    certificate (recorded arrivals == trace timestamps), and a
+    :func:`~repro.farm.planner.canonical_checksum` seal computed over all
+    of the above.  Chaos faults are applied here — where real failures
+    strike — so the supervisor cannot tell injected failures from
+    genuine ones.
     """
     from ..telemetry import ReplayTelemetry
 
@@ -308,19 +301,10 @@ def _run_shard(
     trace = PackedTrace(op_codes, addrs, times)
     system = MemorySystem(config)
     telemetry = ReplayTelemetry(latency=True, profile=False)
-    if engine == _EXACT_TIER:
-        from ..memsys.fastpath import replay_fast
-
-        system._replayed = True
-        stats = replay_fast(
-            system, trace, telemetry, force_exact=True
-        )
-        telemetry._finish(system, stats)
-    else:
-        system.replay(trace, engine=engine, telemetry=telemetry)
+    system.replay(trace, engine=engine, telemetry=telemetry)
     recorder = telemetry.recorder
     assert recorder is not None
-    arrays = dict(recorder._assemble())
+    arrays = recorder._assemble()
     backpressure = not np.array_equal(arrays["arrival"], times)
     result: _t.Dict[str, _t.Any] = {
         "makespan_ns": float(system.sim.now),
@@ -458,45 +442,30 @@ class WorkerPool:
         self,
         plan: ShardPlan,
         fault_plan: _t.Optional[_chaos.FaultPlan] = None,
-        engine: _t.Optional[str] = None,
-        shard_ids: _t.Optional[_t.Sequence[int]] = None,
-        report: _t.Optional[FarmReport] = None,
     ) -> _t.Tuple[_t.Dict[int, _t.Dict[str, _t.Any]], FarmReport]:
-        """Replay the plan's shards; return ({shard_id: result}, report).
-
-        ``engine`` overrides the configured worker engine (the
-        tier-harmonization pass pins ``"fast-exact"``); ``shard_ids``
-        restricts the run to a subset; ``report`` accumulates into an
-        existing ledger instead of opening a fresh one.
-        """
+        """Replay the plan's shards; return ({shard_id: result}, report)."""
         mode, workers, why = self.resolve_mode(plan.n_shards)
-        if report is None:
-            report = FarmReport(
-                mode=mode, workers=workers, n_shards=plan.n_shards
+        report = FarmReport(
+            mode=mode, workers=workers, n_shards=plan.n_shards
+        )
+        if why:
+            report.errors.append(f"degraded to in-process: {why}")
+        report.shards = [
+            ShardOutcome(
+                shard_id=shard.shard_id,
+                channels=shard.channels,
+                n_requests=len(shard),
             )
-            if why:
-                report.errors.append(f"degraded to in-process: {why}")
-            report.shards = [
-                ShardOutcome(
-                    shard_id=shard.shard_id,
-                    channels=shard.channels,
-                    n_requests=len(shard),
-                )
-                for shard in plan.shards
-            ]
-        engine = engine if engine is not None else self.farm.engine
-        shards = [
-            shard
             for shard in plan.shards
-            if shard_ids is None or shard.shard_id in set(shard_ids)
         ]
+        engine = self.farm.engine
         if mode == "process":
             results = self._run_processes(
-                plan, shards, engine, fault_plan, report, workers
+                plan, plan.shards, engine, fault_plan, report, workers
             )
         else:
             results = self._run_inprocess(
-                plan, shards, engine, fault_plan, report
+                plan, plan.shards, engine, fault_plan, report
             )
         return results, report
 
@@ -990,18 +959,15 @@ def _merge(
 ) -> _t.Tuple[MemorySystem, MemSysStats, _t.Dict[str, np.ndarray]]:
     """Reassemble shard payloads into one exact system + stat set.
 
-    Loads every owned channel's collector state into a fresh system,
-    gives never-owned channels the engine's startup idle transition
-    (mirroring the fast path's idle-controller idiom), sets the merged
-    clock to the global makespan, and runs the ordinary
-    :meth:`~repro.memsys.MemorySystem.gather_stats` reduction — the
-    same left-fold over channels in channel order that a single
-    process runs, on bit-identical collector states, hence
+    Loads every owned channel's bank state into a fresh system,
+    scatters the shards' arrays back to trace order, sets the merged
+    clock to the global makespan, and runs the statistics reduction
+    (:func:`~repro.memsys.system.reduce_stats`) a single-process replay
+    runs — on bit-identical arrays and bank counters, hence
     bit-identical output.
     """
     config = plan.config
     system = MemorySystem(config)
-    owned: _t.Set[int] = set()
     makespan = 0.0
     for shard in plan.shards:
         result = results[shard.shard_id]
@@ -1010,16 +976,6 @@ def _merge(
             system.controllers[channel].load_state(
                 result["controllers"][channel]
             )
-            owned.add(channel)
-    for channel in range(config.n_channels):
-        if channel not in owned:
-            system.controllers[channel].utilization.transition(
-                "idle", 0.0
-            )
-    system.sim._now = makespan
-    system._replayed = True
-    system.last_replay_engine = "farm"
-    stats = system.gather_stats()
     n = len(plan.trace)
     arrays: _t.Dict[str, np.ndarray] = {}
     for key in _ARRAY_KEYS:
@@ -1034,6 +990,10 @@ def _merge(
                 key
             ]
         arrays[key] = merged
+    system.sim._now = makespan
+    system._replayed = True
+    system.last_replay_engine = "farm"
+    stats = system._reduce(arrays, makespan)
     return system, stats, arrays
 
 
@@ -1048,8 +1008,8 @@ def replay_farm(
 
     Plans a channel split, replays each shard under the
     :class:`WorkerPool` supervisor, verifies every worker's
-    no-backpressure certificate, and merges the collector states into
-    statistics **bit-identical** to
+    no-backpressure certificate, and merges the shards' arrays and bank
+    states into statistics **bit-identical** to
     ``MemorySystem(config).replay(trace)``.  Traces that cannot be
     sharded exactly — line-rate traces, or any shard whose certificate
     failed — are replayed single-process instead (still exact), with
@@ -1105,42 +1065,6 @@ def replay_farm(
             results, report = pool.run(plan, fault_plan)
     else:
         results, report = pool.run(plan, fault_plan)
-    # Tier harmonization: a single-process fast replay picks ONE tier
-    # for the whole trace (tier 1 only when every channel's
-    # certificates pass), while each worker judged only its own
-    # channels.  Mixed tiers mean the full replay would have run tier
-    # 2 everywhere, so re-run the tier-1 shards with the exact tier
-    # pinned; homogeneous tiers already match the global choice, and
-    # the two tiers differ only by ulp-level Tally rounding — which is
-    # exactly what bit-identity forbids.
-    tiers = {
-        results[shard.shard_id]["engine"] for shard in plan.shards
-    }
-    if "fast-vectorized" in tiers and len(tiers) > 1:
-        redo = [
-            shard.shard_id
-            for shard in plan.shards
-            if results[shard.shard_id]["engine"] == "fast-vectorized"
-        ]
-        report.harmonized_shards = len(redo)
-        events.point(
-            "harmonize",
-            detail=f"mixed tiers: re-running {len(redo)} shard(s) "
-            "with the exact tier pinned",
-        )
-        if profiler is not None:
-            with profiler.phase("farm-harmonize"):
-                redone, _ = pool.run(
-                    plan,
-                    engine=_EXACT_TIER,
-                    shard_ids=redo,
-                    report=report,
-                )
-        else:
-            redone, _ = pool.run(
-                plan, engine=_EXACT_TIER, shard_ids=redo, report=report
-            )
-        results.update(redone)
     pressured = [
         shard.shard_id
         for shard in plan.shards

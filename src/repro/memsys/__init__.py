@@ -58,13 +58,12 @@ Replay engines
   private to the system with an untouched clock, and the event engine
   otherwise.
 
-Both engines produce the same :class:`MemSysStats`: integer counters,
-makespan, and sustained bandwidth exactly, derived float aggregates to
-within ~1e-12 relative (the fast path sums vectorized instead of
-streaming Welford updates); ``tests/memsys/test_fastpath.py`` and
-``tests/memsys/test_refresh.py`` assert this across every scheme x
-policy x pattern x refresh granularity x arrival mode combination,
-including PIM all-bank traces.
+Both engines produce the same per-request times and reduce them with
+one function (:func:`reduce_stats`), so every :class:`MemSysStats`
+field is bit-identical across them; ``tests/memsys/test_fastpath.py``
+and ``tests/memsys/test_refresh.py`` assert ``repr`` equality across
+every scheme x policy x pattern x refresh granularity x arrival mode
+combination, including PIM all-bank traces.
 
 Traces are uniformly *line-rate* (each request injected as soon as its
 channel queue has space) or uniformly *timestamped* (an optional third
@@ -92,7 +91,13 @@ from .bank import (
 )
 from .controller import ChannelController, FCFS, FRFCFS, POLICIES
 from .request import MemRequest, Op
-from .system import ENGINES, MemSysConfig, MemSysStats, MemorySystem
+from .system import (
+    ENGINES,
+    MemSysConfig,
+    MemSysStats,
+    MemorySystem,
+    reduce_stats,
+)
 from .trace import (
     INTERARRIVALS,
     PackedTrace,
@@ -124,6 +129,7 @@ __all__ = [
     "MemSysConfig",
     "MemSysStats",
     "MemorySystem",
+    "reduce_stats",
     "INTERARRIVALS",
     "PackedTrace",
     "TRACE_PATTERNS",

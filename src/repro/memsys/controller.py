@@ -31,10 +31,14 @@ arithmetic on the clock, which the exact fast-path tier repeats with the
 same float expressions, so both engines stall at bit-identical
 instants.
 
-Statistics flow through :mod:`repro.desim.stats`: a :class:`Tally` of
-request latencies, a :class:`TimeWeighted` queue length, a
-:class:`StateTimer` for busy/idle utilization, and :class:`Counter`\\ s
-of completed requests and delivered bits.
+The controller also streams :mod:`repro.desim.stats` collectors: a
+:class:`Tally` of request latencies, a :class:`TimeWeighted` queue
+length, a :class:`StateTimer` for busy/idle utilization, and
+:class:`Counter`\\ s of completed requests and delivered bits.  They are
+the event engine's independent oracle for the statistics every engine
+reduces from per-request times
+(:func:`~repro.memsys.system.reduce_stats`); no replay result reads
+them.
 """
 
 from __future__ import annotations
@@ -433,12 +437,18 @@ class ChannelController:
     def _run(self):
         """Controller main loop (a desim process)."""
         sim = self.sim
+        finished_at = math.nan
         while True:
             if not self.pending:
                 self.utilization.transition("idle", sim.now)
                 self._wakeup = sim.event()
                 yield self._wakeup
                 self._wakeup = None
+                if sim.now == finished_at:
+                    # work arrived at the instant the queue ran dry: the
+                    # busy period goes on (through any refresh stall),
+                    # whichever of the two the calendar ran first
+                    self.utilization.transition("busy", sim.now)
             delay = self._service_delay(sim.now)
             if delay > 0.0:
                 # refresh blackout: stall, then re-evaluate (the queue
@@ -452,6 +462,7 @@ class ChannelController:
                     waiter.succeed()
             yield sim.timeout(latency)
             self._finish_service(request, sim.now)
+            finished_at = sim.now
             sim.trace(
                 "memsys.complete", channel=self.channel_id,
                 addr=request.addr, outcome=request.outcome,
@@ -462,19 +473,16 @@ class ChannelController:
             done.succeed(request)
 
     # ------------------------------------------------------------------
-    # collector state export/load (the replay farm's merge hooks)
+    # bank state export/load
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Exact post-replay collector + bank state of this channel.
+        """Exact post-replay bank state of this channel.
 
-        Captures the raw internals of every statistics collector and
-        every bank's row-buffer state machine, so a shard worker can
-        ship its channel's evolution across a process boundary and the
-        farm supervisor can :meth:`load_state` it into a fresh
-        controller — after which every stats reduction
-        (:meth:`~repro.memsys.MemorySystem.gather_stats`,
-        :meth:`metrics`) computes **bit-identical** floats, because the
-        same reduction code runs on identical collector states.
+        Captures every bank's row-buffer state machine (open row and
+        hit/miss/conflict counters) and the applied refresh epochs, so
+        a fast-path tier can load the state its replay arrived at and a
+        replay-farm shard can ship its channels' banks across a process
+        boundary into the merged system.
 
         Only valid between replays (an empty queue); the transient
         scheduling structures (pending queue, open-row table) are
@@ -488,11 +496,6 @@ class ChannelController:
             )
         return {
             "channel_id": self.channel_id,
-            "latency": self.latency.state_dict(),
-            "queue_len": self.queue_len.state_dict(),
-            "utilization": self.utilization.state_dict(),
-            "completed": self.completed.state_dict(),
-            "bits_delivered": self.bits_delivered.state_dict(),
             "refresh_applied": list(self._refresh_applied),
             "banks": [bank.export_state() for bank in self.banks],
         }
@@ -505,45 +508,11 @@ class ChannelController:
                 f"state carries {len(banks)} banks but channel "
                 f"{self.channel_id} has {len(self.banks)}"
             )
-        self.latency.load_state(state["latency"])
-        self.queue_len.load_state(state["queue_len"])
-        self.utilization.load_state(state["utilization"])
-        self.completed.load_state(state["completed"])
-        self.bits_delivered.load_state(state["bits_delivered"])
         self._refresh_applied = [
             int(epoch) for epoch in state["refresh_applied"]
         ]
         for bank, bank_state in zip(self.banks, banks):
             bank.load_state(bank_state)
-
-    # ------------------------------------------------------------------
-    @property
-    def row_hit_rate(self) -> float:
-        """Aggregate row-hit rate over the channel's banks."""
-        hits = sum(b.hits for b in self.banks)
-        total = sum(b.accesses for b in self.banks)
-        return hits / total if total else float("nan")
-
-    def metrics(self, now: float) -> _t.Dict[str, float]:
-        """Collector snapshot for the telemetry registry.
-
-        Exposes the per-channel extremes the flat
-        :class:`~repro.memsys.system.MemSysStats` summary reduces away
-        — latency min/max, peak queue occupancy, busy fraction — so a
-        metrics export preserves them.  Both replay engines leave the
-        underlying collectors in the same state, so the snapshot is
-        engine-independent.
-        """
-        return {
-            "requests": float(self.completed.count),
-            "bits_delivered": float(self.bits_delivered.count),
-            "latency_min_ns": self.latency.minimum,
-            "latency_max_ns": self.latency.maximum,
-            "queue_mean": self.queue_len.time_average(now),
-            "queue_max": self.queue_len.maximum,
-            "busy_fraction": self.utilization.fraction("busy", now),
-            "row_hit_rate": self.row_hit_rate,
-        }
 
     def __repr__(self) -> str:
         return (

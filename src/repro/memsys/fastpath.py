@@ -9,7 +9,10 @@ service starts are back-to-back while a queue is busy, arrivals are
 pinned to queue-slot releases (or to explicit trace timestamps), and
 refresh blackouts are a pure function of the clock.  This module
 exploits that determinism to replay traces at millions of requests per
-second while producing the same :class:`MemSysStats`.
+second while producing the same per-request times, and therefore the
+same :class:`MemSysStats`: every engine reduces its statistics from
+those times with one function
+(:func:`~repro.memsys.system.reduce_stats`).
 
 It is organized as two tiers behind one entry point,
 :func:`replay_fast`:
@@ -87,18 +90,17 @@ controller's selection rule (FR-FCFS oldest row hit first, with a
 queued-hit table that skips the scan when nothing hits; FCFS strict
 head; PIM skipped by the hit scan; AB a barrier both ways; per-rank and
 per-bank refresh gates, the per-bank gate's staged candidate included)
-and accumulates every collector with the same float operations in the
-same order as :class:`~repro.desim.stats.Tally`,
-:class:`~repro.desim.stats.TimeWeighted`,
-:class:`~repro.desim.stats.StateTimer` and :meth:`Bank.access
+and computes every time with the same float operations in the same
+order as the calendar and :meth:`Bank.access
 <repro.memsys.bank.Bank.access>`.  Bit-identity therefore rests on that
 arithmetic, not on shared code: the event engine, driving
 :class:`~repro.memsys.controller.ChannelController`, is the oracle, and
 ``tests/memsys/test_exact_tier.py`` checks every controller's
-:meth:`~repro.memsys.controller.ChannelController.export_state`, the
-recorder arrays and the object write-back with ``==`` across policy,
-row policy, queue depth, refresh, timestamps and traffic mix.  Results
-load through :meth:`ChannelController.load_state
+:meth:`~repro.memsys.controller.ChannelController.export_state` (bank
+counters, open rows, applied refresh epochs), the recorder arrays, the
+object write-back and the statistics with ``==`` across policy, row
+policy, queue depth, refresh, timestamps and traffic mix.  Bank state
+loads through :meth:`ChannelController.load_state
 <repro.memsys.controller.ChannelController.load_state>`, the same hook
 tier 1 uses.  It runs at about 0.5M requests/s on random FR-FCFS traffic
 (about 2 µs per request on a 2-vCPU x86-64 host, Python 3.11).
@@ -112,13 +114,9 @@ Differences from the event engine (both tiers):
   bits) are written back for object traces but not for
   :class:`~repro.memsys.trace.PackedTrace` inputs, which never
   materialize request objects at all;
-* queue-occupancy extremes (``queue_len.minimum`` / ``maximum``, not
-  part of :class:`MemSysStats`) are exact under the line-rate
-  certificate; in the gapped tiers (timestamped / fixed-point
-  arrivals) same-instant interleavings of an admission with an
-  *earlier* request's dequeue are resolved admission-first and
-  clipped at the queue depth, which can differ from the event
-  calendar by one transient slot.
+* the controllers' :mod:`repro.desim.stats` collectors are left
+  untouched: they are the event engine's oracle, and no statistic
+  reads them.
 """
 
 from __future__ import annotations
@@ -141,7 +139,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from ..telemetry import ReplayTelemetry
     from .bank import RefreshSchedule
     from .controller import ChannelController
-    from .system import MemorySystem, MemSysStats
+    from .system import MemorySystem, MemSysConfig, MemSysStats
 
 __all__ = ["replay_fast"]
 
@@ -169,34 +167,21 @@ def replay_fast(
     system: "MemorySystem",
     trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
     telemetry: _t.Optional["ReplayTelemetry"] = None,
-    *,
-    force_exact: bool = False,
 ) -> "MemSysStats":
     """Replay ``trace`` through ``system`` without scheduling events.
 
     Called by :meth:`MemorySystem.replay` with ``engine="fast"`` (or
     ``"auto"``); picks the vectorized closed form when its certificates
-    hold and the exact incremental replay otherwise.  Populates the
-    system's controllers and banks with the same counters the event
-    engine would leave behind, advances the simulator clock to the
-    replay makespan, and reduces statistics through the shared
-    :meth:`MemorySystem.gather_stats`.
+    hold and the exact incremental replay otherwise.  Leaves the
+    system's banks in the state the event engine would leave behind,
+    advances the simulator clock to the replay makespan, and reduces
+    statistics from the per-request times with the shared
+    :func:`~repro.memsys.system.reduce_stats`.
 
     With ``telemetry`` attached, its profiler times the four phases
     (``decode`` / ``certificate`` / ``tier-execute`` /
-    ``stats-gather``) and its latency recorder adopts the per-request
-    times — by reference (the vectorized plan arrays, or the exact
-    tier's trace-ordered arrays), so capture costs nothing while the
-    clock is running and never perturbs the replay arithmetic.
-
-    ``force_exact=True`` pins tier 2 without evaluating the vectorized
-    certificates.  The replay-farm workers use this to reproduce the
-    tier a single-process replay of the *whole* trace would pick: the
-    two tiers accumulate :class:`~repro.desim.stats.Tally` state
-    through different (each internally exact) float reductions, so a
-    shard replayed on a different tier than its channel saw in the
-    full replay can drift by one ulp — pinning the tier restores
-    bit-identity.
+    ``stats-gather``) and its latency recorder adopts the trace-ordered
+    arrays the reduction read.
     """
     recorder = telemetry.recorder if telemetry is not None else None
     phase = (
@@ -236,34 +221,21 @@ def replay_fast(
         ) % n_banks
 
     with phase("certificate"):
-        if force_exact:
-            plan = None
-        else:
-            plan = _vector_plan(
-                system,
-                op_codes,
-                fields["channel"],
-                flat_bank,
-                fields["row"],
-                times,
-            )
-    if plan is not None:
-        with phase("tier-execute"):
+        plan = _vector_plan(
+            system,
+            op_codes,
+            fields["channel"],
+            flat_bank,
+            fields["row"],
+            times,
+        )
+    with phase("tier-execute"):
+        if plan is not None:
             makespan = _commit_vector_plan(system, plan)
+            timing = _plan_arrays(op_codes.shape[0], plan)
             system.last_replay_engine = "fast-vectorized"
-            if requests is not None:
-                _write_back(
-                    requests, fields, flat_bank,
-                    _plan_arrays(len(requests), plan),
-                )
-        if recorder is not None:
-            recorder._capture_plan(
-                op_codes, fields["channel"], fields["row"],
-                flat_bank, plan,
-            )
-    else:
-        with phase("tier-execute"):
-            makespan, arrays = _replay_exact(
+        else:
+            makespan, timing = _replay_exact(
                 system,
                 op_codes,
                 fields["channel"],
@@ -272,15 +244,14 @@ def replay_fast(
                 times,
             )
             system.last_replay_engine = "fast-exact"
-            if requests is not None:
-                _write_back(requests, fields, flat_bank, arrays)
-        if recorder is not None:
-            recorder._capture_arrays(
-                _recorder_arrays(op_codes, fields, flat_bank, arrays)
-            )
+        arrays = _recorder_arrays(op_codes, fields, flat_bank, timing)
+        if requests is not None:
+            _write_back(requests, config, fields, arrays)
+    if recorder is not None:
+        recorder._capture_arrays(arrays)
     system.sim._now = makespan
     with phase("stats-gather"):
-        return system.gather_stats()
+        return system._reduce(arrays, makespan)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +290,6 @@ def _vector_plan(
         [table[name] for name in OUTCOMES] + [table[OUTCOMES[_HIT]]]
     )
     n_banks = config.banks_per_channel
-    page_bits = config.timing.page_bits
     closed = config.row_policy == CLOSED
     frfcfs = config.policy == FRFCFS
     plan: _t.List[_t.Optional[dict]] = []
@@ -344,18 +314,10 @@ def _vector_plan(
         # ab_c is None for host-only channels; for all-bank channels it
         # marks the AB broadcasts within the PIM/AB lockstep stream
         ab_c = ab if (any_pim or any_ab) else None
-        if ab_c is None:
-            bits: _t.Union[int, np.ndarray] = page_bits
-        elif not any_ab:
-            bits = page_bits * n_banks  # pure PIM: all banks move pages
-        elif not any_pim:
-            bits = page_bits  # pure AB: one command page per broadcast
-        else:
-            bits = np.where(ab, page_bits, page_bits * n_banks)
         check_fifo = (
             frfcfs and depth > 1 and ab_c is None and not closed
         )
-        data: dict = {"idx": idx, "bits": bits}
+        data: dict = {"idx": idx}
         if refresh is not None:
             chunked = _chunked_refresh_channel(
                 refresh,
@@ -371,7 +333,6 @@ def _vector_plan(
             if chunked is None:
                 return None
             data.update(chunked)
-            data["segments"] = None  # line-rate: the channel never idles
         else:
             outcome, bank_counts, open_final = _chunk_outcomes(
                 bank_c, row_c, ab_c, closed, n_banks
@@ -392,25 +353,20 @@ def _vector_plan(
                 solved = _segmented_service(t_c, durations)
                 if solved is None:
                     return None
-                start, finish, segments = solved
+                start, finish = solved
                 if n_c > depth and bool(
                     np.any(t_c[depth:] < start[: n_c - depth])
                 ):
                     # backpressure certificate: an arrival would find
                     # its queue full — the injector would stall
                     return None
-                data.update(
-                    arrival=t_c,
-                    start=start,
-                    finish=finish,
-                    segments=segments,
-                )
+                data.update(arrival=t_c, start=start, finish=finish)
             else:
                 finish = _seq_cumsum(0.0, durations)
                 start = np.empty(n_c)
                 start[0] = 0.0
                 start[1:] = finish[:-1]
-                data.update(start=start, finish=finish, segments=None)
+                data.update(start=start, finish=finish)
         plan.append(data)
 
     if times is not None:
@@ -452,13 +408,10 @@ def _vector_plan(
     for data in plan:
         if data is None:
             continue
-        start, finish, segments = solved[cursor]
+        start, finish = solved[cursor]
         cursor += 1
         data.update(
-            arrival=arrivals[data["idx"]],
-            start=start,
-            finish=finish,
-            segments=segments,
+            arrival=arrivals[data["idx"]], start=start, finish=finish
         )
     return plan
 
@@ -667,7 +620,7 @@ def _seq_cumsum(s: float, durations: np.ndarray) -> np.ndarray:
 
 def _segmented_service(
     earliest: np.ndarray, durations: np.ndarray
-) -> _t.Optional[_t.Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> _t.Optional[_t.Tuple[np.ndarray, np.ndarray]]:
     """Solve ``S[j] = max(E[j], F[j-1])``, ``F = S + d`` exactly.
 
     ``earliest`` is the per-request lower bound on service start (trace
@@ -676,10 +629,10 @@ def _segmented_service(
     but float-associated differently than the engine), then finish
     times are *recomputed* per segment with the engine's sequential
     additions (:func:`_seq_cumsum`) and the segmentation is verified
-    against the exact values.  Returns ``(start, finish,
-    segment-start indices)``, or ``None`` if an ulp-level misordering
-    in the approximate scan produced an inconsistent segmentation (the
-    caller falls back to the exact tier).
+    against the exact values.  Returns ``(start, finish)``, or ``None``
+    if an ulp-level misordering in the approximate scan produced an
+    inconsistent segmentation (the caller falls back to the exact
+    tier).
     """
     n = durations.shape[0]
     prefix = np.empty(n)
@@ -717,7 +670,7 @@ def _segmented_service(
         )
         if not bool(consistent.all()):
             return None
-    return start, finish, seg_idx
+    return start, finish
 
 
 def _arrival_fixed_point(
@@ -725,10 +678,7 @@ def _arrival_fixed_point(
     channels: _t.Sequence[_t.Tuple[np.ndarray, np.ndarray]],
     depth: int,
 ) -> _t.Optional[
-    _t.Tuple[
-        np.ndarray,
-        _t.List[_t.Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ]
+    _t.Tuple[np.ndarray, _t.List[_t.Tuple[np.ndarray, np.ndarray]]]
 ]:
     """Solve the coupled injector/service recurrences by iteration.
 
@@ -742,7 +692,7 @@ def _arrival_fixed_point(
     which is exactly the event engine's trajectory (the values
     propagate through ``max`` unchanged and the busy-segment sums use
     the engine's own addition order).  Returns ``(arrivals, [(start,
-    finish, segments), ...])`` aligned with ``channels``, or ``None``
+    finish), ...])`` aligned with ``channels``, or ``None``
     after :data:`_MAX_ARRIVAL_ITERS` without convergence.
     """
     arrivals = np.zeros(n)
@@ -837,29 +787,16 @@ def _fifo_certificate(
 # ----------------------------------------------------------------------
 def _load_channel(
     controller: "ChannelController",
-    *,
-    latency: _t.Mapping[str, _t.Any],
-    queue: _t.Mapping[str, _t.Any],
-    utilization: _t.Mapping[str, _t.Any],
-    completed: int,
-    bits: int,
     banks: _t.Sequence[_t.Tuple[int, int, int, _t.Optional[int]]],
     refresh_applied: _t.Optional[_t.Sequence[int]] = None,
 ) -> None:
-    """Load one channel's replay results through its public state hook.
+    """Load one channel's bank state through its public state hook.
 
-    Starts from the controller's own :meth:`ChannelController.export_state`
-    (so the collectors' start times and any field a tier does not
-    compute keep their values), overwrites what the tier computed, and
-    hands the result to :meth:`ChannelController.load_state`.  ``banks``
-    holds ``(hits, misses, conflicts, open_row)`` per bank.
+    ``banks`` holds ``(hits, misses, conflicts, open_row)`` per bank;
+    ``refresh_applied`` (the applied refresh epochs) keeps the
+    controller's own value when omitted.
     """
     state = controller.export_state()
-    state["latency"] = dict(latency)
-    state["queue_len"].update(queue)
-    state["utilization"].update(utilization)
-    state["completed"]["count"] = completed
-    state["bits_delivered"]["count"] = bits
     state["banks"] = [
         {
             "hits": hits,
@@ -877,133 +814,66 @@ def _load_channel(
 def _commit_vector_plan(
     system: "MemorySystem", plan: _t.List[_t.Optional[dict]]
 ) -> float:
-    """Load the closed-form results into the system's collectors.
+    """Load the closed-form bank state into the system's banks.
 
-    Gives each controller's tally/counter/time-weighted collectors and
-    each bank's outcome counters the values the event engine would have
-    accumulated, so :meth:`MemorySystem.gather_stats` (and any
-    post-replay introspection of banks or controllers) sees the same
-    state.  Returns the replay makespan.
+    Gives each bank the outcome counters and final open row the event
+    engine would have left behind (idle channels keep their fresh
+    banks).  Returns the replay makespan.
     """
     makespan = 0.0
-    depth = system.config.queue_depth
     for controller, data in zip(system.controllers, plan):
         if data is None:
-            # the engine's idle controller: one zero-width transition
-            _load_channel(
-                controller,
-                latency=_tally_state(()),
-                queue={},
-                utilization={
-                    "state": "idle", "since": 0.0, "totals": {"idle": 0.0},
-                },
-                completed=0,
-                bits=0,
-                banks=[(0, 0, 0, None)] * len(controller.banks),
-            )
             continue
-        arrival = data["arrival"]
-        start = data["start"]
-        finish = data["finish"]
-        segments = data["segments"]
-        n_c = arrival.shape[0]
-        latency = finish - arrival
-        mean = latency.mean()
-        bits = data["bits"]
-        busy_until = float(finish[-1])
-        if segments is None:
-            # line-rate: the queue never runs dry, so the channel is
-            # busy end to end and every dequeue's freed slot is
-            # refilled at the same instant — the peak occupancy is the
-            # full queue (or the whole trace, when it fits in one fill)
-            queue_max = float(min(n_c, depth))
-            totals = {"idle": 0.0, "busy": busy_until}
-        else:
-            # gapped arrivals: occupancy after the j-th admission,
-            # counting earlier dequeues at the same instant as still
-            # pending (the admission-first calendar order), clipped at
-            # the queue depth a full queue cannot exceed
-            occupancy = np.arange(1, n_c + 1) - np.searchsorted(
-                start, arrival, side="left"
-            )
-            queue_max = float(min(int(occupancy.max()), depth))
-            seg_end = np.r_[segments[1:] - 1, n_c - 1]
-            busy_total = float((finish[seg_end] - start[segments]).sum())
-            totals = {"idle": busy_until - busy_total, "busy": busy_total}
         _load_channel(
             controller,
-            latency={
-                "n": n_c,
-                "mean": float(mean),
-                "m2": float(np.square(latency - mean).sum()),
-                "min": float(latency.min()),
-                "max": float(latency.max()),
-                "sum": float(latency.sum()),
-            },
-            queue={
-                "value": 0.0,
-                "last": float(start[-1]),
-                "integral": float((start - arrival).sum()),
-                "min": 0.0,
-                "max": queue_max,
-            },
-            utilization={
-                "state": "idle", "since": busy_until, "totals": totals,
-            },
-            completed=n_c,
-            bits=(
-                int(bits.sum())
-                if isinstance(bits, np.ndarray)
-                else int(bits) * n_c
-            ),
-            banks=[
+            [
                 (int(c[_HIT]), int(c[_MISS]), int(c[_CONFLICT]), open_row)
                 for c, open_row in zip(
                     data["bank_counts"].tolist(), data["open_final"]
                 )
             ],
         )
-        makespan = max(makespan, busy_until)
+        makespan = max(makespan, float(data["finish"][-1]))
     return makespan
 
 
 def _write_back(
     requests: _t.List[MemRequest],
+    config: "MemSysConfig",
     fields: _t.Dict[str, np.ndarray],
-    flat_bank: np.ndarray,
     arrays: _t.Mapping[str, np.ndarray],
 ) -> None:
-    """Fill per-request runtime fields from trace-ordered arrays.
+    """Fill per-request runtime fields from the recorder arrays.
 
-    ``arrays`` carries ``arrival``, ``start_service``, ``finish``,
-    ``outcome`` (codes) and ``bits``; all-bank PIM/AB requests get no
-    ``bank_index``, as the event engine's admission leaves them.
+    All-bank PIM/AB requests get no ``bank_index``, as the event
+    engine's admission leaves them; a PIM request moves one page per
+    bank, every other request one page.
     """
+    page_bits = config.timing.page_bits
     columns = [
         fields["channel"].tolist(),
         fields["bankgroup"].tolist(),
         fields["bank"].tolist(),
         fields["row"].tolist(),
         fields["column"].tolist(),
-        flat_bank.tolist(),
+        arrays["bank"].tolist(),
         arrays["arrival"].tolist(),
         arrays["start_service"].tolist(),
         arrays["finish"].tolist(),
         arrays["outcome"].tolist(),
-        arrays["bits"].tolist(),
     ]
-    pim, ab = Op.PIM, Op.AB
+    pim = Op.PIM
+    pim_bits = page_bits * config.banks_per_channel
     for (
-        request, ch, bg, bk, ro, col, index, arr, st, fin, out, nbits
+        request, ch, bg, bk, ro, col, index, arr, st, fin, out
     ) in zip(requests, *columns):
         request.coords = Coordinates(ch, bg, bk, ro, col)
-        op = request.op
-        request.bank_index = None if op is pim or op is ab else index
+        request.bank_index = None if index < 0 else index
         request.arrival = arr
         request.start_service = st
         request.finish = fin
         request.outcome = _OUTCOME_NAMES[out]
-        request.bits = nbits
+        request.bits = pim_bits if request.op is pim else page_bits
 
 
 def _plan_arrays(
@@ -1015,7 +885,6 @@ def _plan_arrays(
         "start_service": np.empty(n),
         "finish": np.empty(n),
         "outcome": np.empty(n, dtype=np.int64),
-        "bits": np.empty(n, dtype=np.int64),
     }
     for data in plan:
         if data is None:
@@ -1025,7 +894,6 @@ def _plan_arrays(
         arrays["start_service"][idx] = data["start"]
         arrays["finish"][idx] = data["finish"]
         arrays["outcome"][idx] = data["outcome"]
-        arrays["bits"][idx] = data["bits"]
     return arrays
 
 
@@ -1033,22 +901,21 @@ def _recorder_arrays(
     op_codes: np.ndarray,
     fields: _t.Dict[str, np.ndarray],
     flat_bank: np.ndarray,
-    arrays: _t.Mapping[str, np.ndarray],
+    timing: _t.Dict[str, np.ndarray],
 ) -> _t.Dict[str, np.ndarray]:
-    """The latency recorder's eight trace-ordered arrays."""
+    """The latency recorder's eight trace-ordered arrays: a tier's
+    ``arrival`` / ``start_service`` / ``finish`` / ``outcome`` plus the
+    decoded routing."""
     from ..telemetry.latency import ALL_BANKS
 
     all_bank = (op_codes == _PIM_CODE) | (op_codes == _AB_CODE)
-    return {
-        "arrival": arrays["arrival"],
-        "start_service": arrays["start_service"],
-        "finish": arrays["finish"],
-        "outcome": arrays["outcome"],
-        "channel": fields["channel"].astype(np.int64),
-        "bank": np.where(all_bank, ALL_BANKS, flat_bank).astype(np.int64),
-        "row": fields["row"].astype(np.int64),
-        "op": op_codes.astype(np.int64),
-    }
+    timing.update(
+        channel=np.asarray(fields["channel"], dtype=np.int64),
+        bank=np.where(all_bank, ALL_BANKS, flat_bank).astype(np.int64),
+        row=np.asarray(fields["row"], dtype=np.int64),
+        op=np.asarray(op_codes, dtype=np.int64),
+    )
+    return timing
 
 
 # ----------------------------------------------------------------------
@@ -1086,15 +953,11 @@ def _replay_exact(
     :meth:`ChannelController._service_delay`, per-bank staged candidate
     included.
 
-    Every collector is accumulated with the event engine's float
-    operations in its order: queue-length integrals and busy/idle totals
-    inline, as each admission, dequeue and transition happens; latency
-    Welford moments by folding each channel's latencies in completion
-    order, exactly as :meth:`~repro.desim.stats.Tally.record` would.  The
-    results load into the controllers through
+    The final bank state (outcome counters, open rows, applied refresh
+    epochs) loads into the controllers through
     :meth:`ChannelController.load_state`.  Returns the makespan and the
     trace-ordered ``arrival`` / ``start_service`` / ``finish`` /
-    ``outcome`` / ``bits`` arrays.
+    ``outcome`` arrays.
     """
     config = system.config
     n_channels = config.n_channels
@@ -1111,7 +974,6 @@ def _replay_exact(
     # Bank.access latencies, indexed by outcome code
     lat_of = tuple(table[name] for name in OUTCOMES)
     lat_hit, lat_miss, lat_conflict = lat_of
-    page_bits = config.timing.page_bits
     pim_code = _PIM_CODE
     ab_code = _AB_CODE
 
@@ -1137,18 +999,8 @@ def _replay_exact(
     queued_hits = [0] * n_channels
     pim_counts = [[0] * (3 * n_banks) for _ in channels]
     refresh_applied = [[0] * n_banks for _ in channels]
-    latencies: _t.List[_t.List[float]] = [[] for _ in channels]
     idle = [True] * n_channels
     woken = [False] * n_channels
-    # TimeWeighted queue length: integral, last update, peak
-    q_integral = [0.0] * n_channels
-    q_last = [0.0] * n_channels
-    q_max = [0] * n_channels
-    # StateTimer: every controller starts with an idle transition at 0
-    busy = [False] * n_channels
-    since = [0.0] * n_channels
-    idle_total = [0.0] * n_channels
-    busy_total = [0.0] * n_channels
 
     def latch(ch: int, b: int, key: int) -> None:
         """Open ``key``'s row in bank ``b`` of ``ch`` (``-1`` closes the
@@ -1225,8 +1077,7 @@ def _replay_exact(
                         break
                 target = chan[cursor]
                 pend = pending[target]
-                length = len(pend)
-                if length >= depth:
+                if len(pend) >= depth:
                     blocked_on = target
                     break
                 arrival[cursor] = now
@@ -1237,11 +1088,6 @@ def _replay_exact(
                     if open_key[target][bank_of[cursor]] == key:
                         queued_hits[target] += 1
                 pend.append(cursor)
-                # TimeWeighted.update(length + 1, now)
-                q_integral[target] += length * (now - q_last[target])
-                q_last[target] = now
-                if length >= q_max[target]:
-                    q_max[target] = length + 1
                 if idle[target] and not woken[target]:
                     woken[target] = True
                     seq += 1
@@ -1252,10 +1098,6 @@ def _replay_exact(
             ch = code
             pend = pending[ch]
             if not pend:
-                # StateTimer.transition("idle", now)
-                busy_total[ch] += now - since[ch]
-                busy[ch] = False
-                since[ch] = now
                 idle[ch] = True
                 woken[ch] = False
                 continue
@@ -1291,13 +1133,6 @@ def _replay_exact(
                 seq += 1
                 push(heap, (now + delay, seq, retry + ch))
                 continue
-        # StateTimer.transition("busy", now)
-        if busy[ch]:
-            busy_total[ch] += now - since[ch]
-        else:
-            idle_total[ch] += now - since[ch]
-            busy[ch] = True
-        since[ch] = now
         okeys = open_key[ch]
         if candidate >= 0:
             i = candidate
@@ -1318,10 +1153,6 @@ def _replay_exact(
                 del pend[0]
             else:
                 pend.remove(i)
-        # TimeWeighted.update(len(pend), now)
-        length = len(pend)
-        q_integral[ch] += (length + 1) * (now - q_last[ch])
-        q_last[ch] = now
         start[i] = now
         op = ops[i]
         if op < pim_code:  # host: one bank's row buffer (Bank.access)
@@ -1382,7 +1213,6 @@ def _replay_exact(
         outcome[i] = out
         done = now + latency
         finish[i] = done
-        latencies[ch].append(done - arrival[i])
         if blocked_on == ch:
             blocked_on = -1
             seq += 1
@@ -1404,34 +1234,11 @@ def _replay_exact(
     ).reshape(n_channels, n_banks, 3) + np.array(
         pim_counts, dtype=np.int64
     ).reshape(n_channels, n_banks, 3)
-    completed = np.bincount(channel, minlength=n_channels).tolist()
-    pim_completed = np.bincount(
-        channel[pim], minlength=n_channels
-    ).tolist()
     for ch, controller in enumerate(system.controllers):
         okeys = open_key[ch]
-        totals = {"idle": idle_total[ch]}
-        if completed[ch]:
-            # a channel that served anything left the busy state
-            totals["busy"] = busy_total[ch]
         _load_channel(
             controller,
-            latency=_tally_state(latencies[ch]),
-            queue={
-                "value": 0.0,
-                "last": q_last[ch],
-                "integral": q_integral[ch],
-                "min": 0.0,
-                "max": float(q_max[ch]),
-            },
-            utilization={
-                "state": "idle", "since": since[ch], "totals": totals,
-            },
-            completed=completed[ch],
-            # a PIM request moves one page per bank, the rest one page
-            bits=page_bits
-            * (completed[ch] + (n_banks - 1) * pim_completed[ch]),
-            banks=[
+            [
                 (
                     hits,
                     misses,
@@ -1442,42 +1249,13 @@ def _replay_exact(
                     bank_counts[ch].tolist()
                 )
             ],
-            refresh_applied=refresh_applied[ch],
+            refresh_applied[ch],
         )
     return now, {
         "arrival": np.array(arrival),
         "start_service": np.array(start),
         "finish": finish_array,
         "outcome": outcome_array,
-        "bits": np.where(pim, page_bits * n_banks, page_bits).astype(
-            np.int64
-        ),
-    }
-
-
-def _tally_state(values: _t.Iterable[float]) -> dict:
-    """:meth:`~repro.desim.stats.Tally.state_dict` after recording
-    ``values`` in order — the same Welford float operations as
-    :meth:`Tally.record <repro.desim.stats.Tally.record>`."""
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    total = 0.0
-    low = math.inf
-    high = -math.inf
-    for value in values:
-        count += 1
-        delta = value - mean
-        mean += delta / count
-        m2 += delta * (value - mean)
-        total += value
-        if value < low:
-            low = value
-        if value > high:
-            high = value
-    return {
-        "n": count, "mean": mean, "m2": m2,
-        "min": low, "max": high, "sum": total,
     }
 
 

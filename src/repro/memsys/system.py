@@ -3,10 +3,11 @@
 :class:`MemorySystem` ties an :class:`~repro.memsys.addrmap.AddressMap`
 to a set of per-channel controllers (each with its banks) on one
 :class:`~repro.desim.Simulator` clock, replays request streams with
-bounded-queue backpressure, and reduces the per-channel
-:mod:`repro.desim.stats` collectors into a :class:`MemSysStats` summary:
-sustained bandwidth, row-hit rate, and queue latency — the simulated
-counterparts of the §2.1 closed forms in :mod:`repro.arch.dram`.
+bounded-queue backpressure, and reduces the per-request times every
+replay engine produces into a :class:`MemSysStats` summary
+(:func:`reduce_stats`): sustained bandwidth, row-hit rate, and queue
+latency — the simulated counterparts of the §2.1 closed forms in
+:mod:`repro.arch.dram`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing as _t
+
+import numpy as np
 
 from ..arch.dram import DramMacroTiming
 from ..desim import Simulator
@@ -33,7 +36,13 @@ from .trace import PackedTrace
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..telemetry import ReplayTelemetry
 
-__all__ = ["ENGINES", "MemSysConfig", "MemSysStats", "MemorySystem"]
+__all__ = [
+    "ENGINES",
+    "MemSysConfig",
+    "MemSysStats",
+    "MemorySystem",
+    "reduce_stats",
+]
 
 #: Replay engine names accepted by :meth:`MemorySystem.replay`.
 ENGINES = ("event", "fast", "auto")
@@ -186,7 +195,8 @@ class MemSysConfig:
 
 @dataclasses.dataclass
 class MemSysStats:
-    """Replay summary, reduced from the desim collectors."""
+    """Replay summary, reduced from per-request times by
+    :func:`reduce_stats`."""
 
     n_requests: int
     total_bits: int
@@ -220,6 +230,162 @@ class MemSysStats:
         }
 
 
+def reduce_stats(
+    config: MemSysConfig,
+    arrays: _t.Mapping[str, np.ndarray],
+    bank_counts: _t.Sequence[_t.Sequence[int]],
+    makespan_ns: float,
+    start_ns: float = 0.0,
+) -> _t.Tuple[MemSysStats, _t.List[_t.Dict[str, float]]]:
+    """Reduce a replay's per-request times into its statistics.
+
+    The one statistics path of every engine: the event engine, both
+    fast-path tiers and the replay farm's merge all produce the same
+    trace-ordered arrays, so every statistic is bit-identical across
+    them by construction.
+
+    Parameters
+    ----------
+    config:
+        The replayed system's configuration.
+    arrays:
+        The latency recorder's trace-ordered arrays; this reads
+        ``arrival``, ``start_service``, ``finish``, ``channel`` and
+        ``op`` (a PIM request moves ``page_bits * banks_per_channel``
+        bits, every other request ``page_bits``).  Trace order is
+        admission order within each channel.
+    bank_counts:
+        Per channel, the ``(hits, misses, conflicts)`` totals of its
+        banks' row-buffer counters.
+    makespan_ns:
+        The clock at the end of the replay.
+    start_ns:
+        When observation began (the controllers' construction time).
+
+    Returns
+    -------
+    (MemSysStats, per-channel extremes)
+        The extremes are one dict per channel with ``latency_min_ns``,
+        ``latency_max_ns``, ``queue_max`` and ``busy_fraction`` — what
+        the flat summary reduces away.  ``queue_max`` resolves an
+        admission and a dequeue at the same instant admission-first and
+        is clipped at the queue depth, so it can exceed the event
+        calendar's peak by one transient slot.  A channel is busy from a
+        service start until a finish by which none of its later-served
+        requests has arrived (one arriving at that very instant
+        continues the busy period).
+    """
+    n_channels = config.n_channels
+    depth = config.queue_depth
+    page_bits = config.timing.page_bits
+    arrival = arrays["arrival"]
+    start = arrays["start_service"]
+    finish = arrays["finish"]
+    channel = arrays["channel"]
+    # a PIM request moves one page per bank, every other one page
+    pim_counts = np.bincount(
+        channel[arrays["op"] == Op.PIM.code], minlength=n_channels
+    ).tolist()
+    span = makespan_ns - start_ns
+    # a stable sort keeps each channel's requests in admission order
+    order = np.argsort(channel, kind="stable")
+    bounds = np.r_[
+        0, np.cumsum(np.bincount(channel, minlength=n_channels))
+    ].tolist()
+    per_channel = []
+    extremes = []
+    latency_sum = queue_sum = busy_sum = 0.0
+    hits = misses = conflicts = total_bits = 0
+    for ch in range(n_channels):
+        idx = order[bounds[ch] : bounds[ch + 1]]
+        n_c = int(idx.shape[0])
+        ch_hits, ch_misses, ch_conflicts = (int(c) for c in bank_counts[ch])
+        hits += ch_hits
+        misses += ch_misses
+        conflicts += ch_conflicts
+        accesses = ch_hits + ch_misses + ch_conflicts
+        ch_bits = page_bits * (
+            n_c + (config.banks_per_channel - 1) * pim_counts[ch]
+        )
+        total_bits += ch_bits
+        if n_c:
+            a = arrival[idx]
+            s = start[idx]
+            f = finish[idx]
+            lat = f - a
+            ch_latency = float(lat.sum())
+            latency_sum += ch_latency
+            by_start = np.argsort(s, kind="stable")
+            s_sorted = s[by_start]
+            f_sorted = f[by_start]
+            # earliest arrival among the requests served at or after
+            # each one: the queue is empty at a finish iff none of the
+            # later-served requests has arrived by then
+            later = np.minimum.accumulate(a[by_start][::-1])[::-1]
+            ends = np.r_[later[1:] > f_sorted[:-1], True]
+            begins = np.r_[True, ends[:-1]]
+            busy = float((f_sorted[ends] - s_sorted[begins]).sum())
+            queue_integral = float((s - a).sum())
+            # occupancy after each admission, counting a dequeue at the
+            # same instant as still pending
+            occupancy = np.arange(1, n_c + 1) - np.searchsorted(
+                s_sorted, a, side="left"
+            )
+            queue_max = float(min(int(occupancy.max()), depth))
+            mean_latency = ch_latency / n_c
+            latency_min = float(lat.min())
+            latency_max = float(lat.max())
+        else:
+            busy = queue_integral = queue_max = 0.0
+            mean_latency = latency_min = latency_max = math.nan
+        queue_mean = queue_integral / span if span > 0 else math.nan
+        busy_fraction = busy / span if span > 0 else math.nan
+        queue_sum += 0.0 if math.isnan(queue_mean) else queue_mean
+        busy_sum += 0.0 if math.isnan(busy_fraction) else busy_fraction
+        per_channel.append(
+            {
+                "channel": ch,
+                "requests": n_c,
+                "row_hit_rate": (
+                    ch_hits / accesses if accesses else math.nan
+                ),
+                "mean_latency_ns": mean_latency,
+                "gbit_delivered": ch_bits / 1e9,
+            }
+        )
+        extremes.append(
+            {
+                "latency_min_ns": latency_min,
+                "latency_max_ns": latency_max,
+                "queue_max": queue_max,
+                "busy_fraction": busy_fraction,
+            }
+        )
+    n_requests = int(arrival.shape[0])
+    accesses = hits + misses + conflicts
+    stats = MemSysStats(
+        n_requests=n_requests,
+        total_bits=total_bits,
+        makespan_ns=makespan_ns,
+        sustained_bits_per_sec=(
+            total_bits / (makespan_ns * 1e-9)
+            if makespan_ns > 0
+            else math.nan
+        ),
+        row_hit_rate=hits / accesses if accesses else math.nan,
+        row_hits=hits,
+        row_misses=misses,
+        row_conflicts=conflicts,
+        mean_queue_latency_ns=(
+            latency_sum / n_requests if n_requests else math.nan
+        ),
+        mean_queue_length=queue_sum / n_channels,
+        channel_utilization=busy_sum / n_channels,
+        per_channel=per_channel,
+    )
+    return stats, extremes
+
+
 class MemorySystem:
     """Banked, multi-channel memory system on a desim clock.
 
@@ -247,6 +413,13 @@ class MemorySystem:
         #: ``"fast-vectorized"``, or ``"fast-exact"`` (``None`` before
         #: any replay).
         self.last_replay_engine: _t.Optional[str] = None
+        #: Per-channel extremes of the last replay (see
+        #: :func:`reduce_stats`); empty before any replay.
+        self.channel_metrics: _t.List[_t.Dict[str, float]] = []
+        # observation starts with the controllers' construction
+        self._start_ns = self.sim.now
+        # requests submitted outside replay(), served by a later replay
+        self._submitted: _t.List[MemRequest] = []
         self.controllers: _t.List[ChannelController] = []
         for channel in range(self.config.n_channels):
             banks = [
@@ -284,6 +457,7 @@ class MemorySystem:
         The caller must respect queue backpressure (see
         :meth:`ChannelController.has_space`); :meth:`replay` does.
         """
+        self._submitted.append(request)
         return self.route(request).enqueue(request)
 
     def pim_broadcast(self, row: int) -> _t.List[MemRequest]:
@@ -416,20 +590,41 @@ class MemorySystem:
                 self.sim.run()
         else:
             self.sim.run()
-        unfinished = [r for r in requests if math.isnan(r.finish)]
+        # every request the controllers served, in admission order
+        served = self._submitted + requests
+        unfinished = [r for r in served if math.isnan(r.finish)]
         if unfinished:  # pragma: no cover - defensive
             raise RuntimeError(
                 f"{len(unfinished)} request(s) never completed"
             )
+        arrays = _request_arrays(served)
         if telemetry is not None and telemetry.recorder is not None:
-            telemetry.recorder._capture_requests(requests)
+            telemetry.recorder._capture_arrays(arrays)
         if profiler is not None:
             with profiler.phase("stats-gather"):
-                stats = self.gather_stats()
+                stats = self._reduce(arrays, self.sim.now)
         else:
-            stats = self.gather_stats()
+            stats = self._reduce(arrays, self.sim.now)
         if telemetry is not None:
             telemetry._finish(self, stats)
+        return stats
+
+    def _reduce(
+        self, arrays: _t.Mapping[str, np.ndarray], makespan_ns: float
+    ) -> MemSysStats:
+        """:func:`reduce_stats` over this system's banks; keeps the
+        per-channel extremes as :attr:`channel_metrics`."""
+        bank_counts = [
+            (
+                sum(bank.hits for bank in controller.banks),
+                sum(bank.misses for bank in controller.banks),
+                sum(bank.conflicts for bank in controller.banks),
+            )
+            for controller in self.controllers
+        ]
+        stats, self.channel_metrics = reduce_stats(
+            self.config, arrays, bank_counts, makespan_ns, self._start_ns
+        )
         return stats
 
     @staticmethod
@@ -456,75 +651,38 @@ class MemorySystem:
                     )
                 last = when
 
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def gather_stats(self) -> MemSysStats:
-        """Reduce controller/bank collectors into a summary."""
-        now = self.sim.now
-        per_channel = []
-        latency = None
-        total_bits = 0
-        n_requests = 0
-        hits = misses = conflicts = 0
-        queue_len_sum = 0.0
-        busy_sum = 0.0
-        for controller in self.controllers:
-            banks = controller.banks
-            hits += sum(b.hits for b in banks)
-            misses += sum(b.misses for b in banks)
-            conflicts += sum(b.conflicts for b in banks)
-            total_bits += controller.bits_delivered.count
-            n_requests += controller.completed.count
-            latency = (
-                controller.latency
-                if latency is None
-                else latency.merge(controller.latency)
-            )
-            mean_queue = controller.queue_len.time_average(now)
-            queue_len_sum += 0.0 if math.isnan(mean_queue) else mean_queue
-            busy = controller.utilization.fraction("busy", now)
-            busy_sum += 0.0 if math.isnan(busy) else busy
-            per_channel.append(
-                {
-                    "channel": controller.channel_id,
-                    "requests": controller.completed.count,
-                    "row_hit_rate": controller.row_hit_rate,
-                    "mean_latency_ns": controller.latency.mean,
-                    "gbit_delivered": controller.bits_delivered.count / 1e9,
-                }
-            )
-        accesses = hits + misses + conflicts
-        return MemSysStats(
-            n_requests=n_requests,
-            total_bits=total_bits,
-            makespan_ns=now,
-            sustained_bits_per_sec=(
-                total_bits / (now * 1e-9) if now > 0 else math.nan
-            ),
-            row_hit_rate=hits / accesses if accesses else math.nan,
-            row_hits=hits,
-            row_misses=misses,
-            row_conflicts=conflicts,
-            mean_queue_latency_ns=(
-                latency.mean if latency is not None else math.nan
-            ),
-            mean_queue_length=(
-                queue_len_sum / len(self.controllers)
-                if self.controllers
-                else math.nan
-            ),
-            channel_utilization=(
-                busy_sum / len(self.controllers)
-                if self.controllers
-                else math.nan
-            ),
-            per_channel=per_channel,
-        )
-
     def __repr__(self) -> str:
         c = self.config
         return (
             f"<MemorySystem {c.n_channels}ch x "
             f"{c.banks_per_channel}banks {c.scheme} {c.policy}>"
         )
+
+
+def _request_arrays(
+    requests: _t.Sequence[MemRequest],
+) -> _t.Dict[str, np.ndarray]:
+    """The recorder's eight trace-ordered arrays, read off replayed
+    request objects (the event engine fills every runtime field)."""
+    from ..telemetry.latency import ALL_BANKS, OUTCOME_NAMES
+
+    code_of = {name: code for code, name in enumerate(OUTCOME_NAMES)}
+
+    def column(values, dtype=np.int64) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=len(requests))
+
+    return {
+        "arrival": column((r.arrival for r in requests), np.float64),
+        "start_service": column(
+            (r.start_service for r in requests), np.float64
+        ),
+        "finish": column((r.finish for r in requests), np.float64),
+        "outcome": column(code_of[r.outcome] for r in requests),
+        "channel": column(r.coords.channel for r in requests),
+        "bank": column(
+            ALL_BANKS if r.bank_index is None else r.bank_index
+            for r in requests
+        ),
+        "row": column(r.coords.row for r in requests),
+        "op": column(r.op.code for r in requests),
+    }

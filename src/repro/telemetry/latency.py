@@ -1,16 +1,15 @@
 """Per-request latency recording across both replay engines.
 
-Both engines already *know* every request's arrival, service start, and
-finish: the event engine stamps them onto :class:`MemRequest` objects as
-its calendar advances, the vectorized fast-path tier solves them in
-closed form as per-channel arrays, and the exact fast-path tier fills
-trace-ordered arrays as its loop runs.  :class:`LatencyRecorder`
-exposes those times as trace-ordered numpy arrays without changing any
-engine's arithmetic — the capture stores *references* (the request list,
-the fast path's plan arrays, or the exact tier's arrays) during replay
-and defers the remaining assembly to first access, so recording costs
-nothing measurable while the clock is hot (the <5% overhead floor of
-``bench_memsys``).
+Every replay engine already *knows* every request's arrival, service
+start, and finish: the event engine stamps them onto
+:class:`MemRequest` objects as its calendar advances, the vectorized
+fast-path tier solves them in closed form, and the exact fast-path tier
+fills trace-ordered arrays as its loop runs.  Each engine assembles them
+into the same eight trace-ordered arrays, reduces its
+:class:`~repro.memsys.MemSysStats` from them
+(:func:`~repro.memsys.system.reduce_stats`), and hands the very same
+dict to :class:`LatencyRecorder` — so recording costs no copy and never
+perturbs the replay arithmetic.
 
 Because the fast path is certified bit-exact against the event engine,
 the recorded ``arrival`` / ``start_service`` / ``finish`` arrays are
@@ -39,7 +38,6 @@ from .profile import PhaseProfiler
 from .registry import MetricsRegistry, latency_summary
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..memsys.request import MemRequest
     from ..memsys.system import MemorySystem, MemSysConfig, MemSysStats
 
 __all__ = ["OUTCOME_NAMES", "LatencyRecorder", "ReplayTelemetry"]
@@ -49,7 +47,6 @@ __all__ = ["OUTCOME_NAMES", "LatencyRecorder", "ReplayTelemetry"]
 #: (which never touches a row buffer, so the bank module doesn't know
 #: it).
 OUTCOME_NAMES = ("hit", "miss", "conflict", "broadcast")
-_OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOME_NAMES)}
 
 #: Pseudo bank index for all-bank operations (PIM row ops, AB
 #: broadcasts), which occupy every bank of their channel at once.
@@ -57,10 +54,10 @@ ALL_BANKS = -1
 
 
 class LatencyRecorder:
-    """Trace-ordered per-request times, captured lazily from a replay.
+    """Trace-ordered per-request times, captured from a replay.
 
-    Populated by the replay engines through one of the private capture
-    hooks; everything public is derived on first access:
+    Populated by the replay engines through the private capture hook;
+    everything public reads or derives from the captured arrays:
 
     * :attr:`arrival`, :attr:`start_service`, :attr:`finish` — the
       engine's exact per-request instants (ns, trace order);
@@ -72,158 +69,49 @@ class LatencyRecorder:
     """
 
     def __init__(self) -> None:
-        self._requests: _t.Optional[_t.Sequence["MemRequest"]] = None
-        self._plan: _t.Optional[dict] = None
         self._arrays: _t.Optional[_t.Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    # capture hooks (called by the replay engines)
+    # capture hook (called by the replay engines)
     # ------------------------------------------------------------------
-    def _guard_single_capture(self) -> None:
-        if self._requests is not None or self._plan is not None:
+    def _capture_arrays(
+        self, arrays: _t.Dict[str, np.ndarray]
+    ) -> None:
+        """Adopt a replay's trace-ordered arrays.
+
+        Every engine hands over the same eight arrays its statistics
+        reduction (:func:`~repro.memsys.system.reduce_stats`) reads —
+        the event engine's, read off its request objects; either
+        fast-path tier's; or the replay farm's, scattered back to trace
+        order.  The dict is adopted as is, not copied.
+        """
+        if self._arrays is not None:
             raise RuntimeError(
                 "this LatencyRecorder already captured a replay; use a "
                 "fresh ReplayTelemetry per replay"
             )
-
-    def _capture_requests(
-        self, requests: _t.Sequence["MemRequest"]
-    ) -> None:
-        """Adopt a fully-replayed request list (the event engine, which
-        fills every runtime field)."""
-        self._guard_single_capture()
-        self._requests = requests
-
-    def _capture_plan(
-        self,
-        op_codes: np.ndarray,
-        channel: np.ndarray,
-        row: np.ndarray,
-        flat_bank: np.ndarray,
-        plan: _t.Sequence[_t.Optional[dict]],
-    ) -> None:
-        """Adopt the vectorized tier's closed-form plan arrays."""
-        self._guard_single_capture()
-        self._plan = {
-            "op_codes": op_codes,
-            "channel": channel,
-            "row": row,
-            "flat_bank": flat_bank,
-            "plan": plan,
-        }
-
-    def _capture_arrays(
-        self, arrays: _t.Dict[str, np.ndarray]
-    ) -> None:
-        """Adopt already-assembled trace-ordered arrays.
-
-        The fast path's exact tier hands over the arrays its loop
-        fills, and the replay farm's merge path the shard arrays its
-        supervisor scattered back to trace order — the same eight keys
-        :meth:`_assemble` produces, so every derived property behaves
-        identically.
-        """
-        self._guard_single_capture()
         expected = {
             "arrival", "start_service", "finish", "outcome",
             "channel", "bank", "row", "op",
         }
         if set(arrays) != expected:
             raise ValueError(
-                f"merged capture needs keys {sorted(expected)}, got "
+                f"capture needs keys {sorted(expected)}, got "
                 f"{sorted(arrays)}"
             )
-        self._plan = {}  # mark as captured for the guard
-        self._arrays = dict(arrays)
+        self._arrays = arrays
 
     @property
     def captured(self) -> bool:
-        return self._requests is not None or self._plan is not None
+        return self._arrays is not None
 
-    # ------------------------------------------------------------------
-    # lazy assembly
-    # ------------------------------------------------------------------
     def _assemble(self) -> _t.Dict[str, np.ndarray]:
-        if self._arrays is not None:
-            return self._arrays
-        if self._plan is not None:
-            self._arrays = self._assemble_from_plan(self._plan)
-        elif self._requests is not None:
-            self._arrays = self._assemble_from_requests(self._requests)
-        else:
+        if self._arrays is None:
             raise RuntimeError(
                 "no replay captured; pass this telemetry to "
                 "MemorySystem.replay(..., telemetry=...) first"
             )
         return self._arrays
-
-    @staticmethod
-    def _assemble_from_plan(
-        captured: dict,
-    ) -> _t.Dict[str, np.ndarray]:
-        from ..memsys.request import Op
-
-        op_codes = captured["op_codes"]
-        n = op_codes.shape[0]
-        arrival = np.empty(n)
-        start = np.empty(n)
-        finish = np.empty(n)
-        outcome = np.empty(n, dtype=np.int64)
-        for data in captured["plan"]:
-            if data is None:
-                continue
-            idx = data["idx"]
-            arrival[idx] = data["arrival"]
-            start[idx] = data["start"]
-            finish[idx] = data["finish"]
-            outcome[idx] = data["outcome"]
-        all_bank = (op_codes == Op.PIM.code) | (op_codes == Op.AB.code)
-        bank = np.where(all_bank, ALL_BANKS, captured["flat_bank"])
-        return {
-            "arrival": arrival,
-            "start_service": start,
-            "finish": finish,
-            "outcome": outcome,
-            "channel": captured["channel"].astype(np.int64),
-            "bank": bank.astype(np.int64),
-            "row": captured["row"].astype(np.int64),
-            "op": op_codes.astype(np.int64),
-        }
-
-    @staticmethod
-    def _assemble_from_requests(
-        requests: _t.Sequence["MemRequest"],
-    ) -> _t.Dict[str, np.ndarray]:
-        n = len(requests)
-        arrival = np.empty(n)
-        start = np.empty(n)
-        finish = np.empty(n)
-        outcome = np.empty(n, dtype=np.int64)
-        channel = np.empty(n, dtype=np.int64)
-        bank = np.empty(n, dtype=np.int64)
-        row = np.empty(n, dtype=np.int64)
-        op = np.empty(n, dtype=np.int64)
-        for i, request in enumerate(requests):
-            arrival[i] = request.arrival
-            start[i] = request.start_service
-            finish[i] = request.finish
-            outcome[i] = _OUTCOME_CODE[request.outcome]
-            coords = request.coords
-            channel[i] = coords.channel
-            index = request.bank_index
-            bank[i] = ALL_BANKS if index is None else index
-            row[i] = coords.row
-            op[i] = request.op.code
-        return {
-            "arrival": arrival,
-            "start_service": start,
-            "finish": finish,
-            "outcome": outcome,
-            "channel": channel,
-            "bank": bank,
-            "row": row,
-            "op": op,
-        }
 
     # ------------------------------------------------------------------
     # recorded arrays (trace order)

@@ -3,8 +3,9 @@
 The replay engines time their own phases — ``decode`` (array extraction
 and address decode), ``certificate`` (the closed-form certificates),
 ``tier-execute`` (committing the vectorized plan, or the exact/event
-replay loop), ``stats-gather`` (collector reduction) — so a metrics
-snapshot shows *where the simulator itself spends wall-clock time*.
+replay loop), ``stats-gather`` (the per-request array reduction) — so a
+metrics snapshot shows *where the simulator itself spends wall-clock
+time*.
 This quantifies the Python-loop cost that motivates the ROADMAP's
 vectorized-pimexec item: on certified traces nearly all time is
 ``decode`` + ``tier-execute`` array arithmetic, while a certificate

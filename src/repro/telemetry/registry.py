@@ -223,9 +223,10 @@ def memsys_metrics(
     """Emit one :class:`~repro.memsys.MemSysStats` into a registry.
 
     ``system`` (the replayed :class:`~repro.memsys.MemorySystem`) adds
-    the per-channel collector snapshots of
-    :meth:`~repro.memsys.ChannelController.metrics` — latency extremes
-    and queue-occupancy peaks that the flat summary reduces away.
+    its per-channel extremes
+    (:attr:`~repro.memsys.MemorySystem.channel_metrics`) — latency
+    extremes, queue-occupancy peaks and busy fractions that the flat
+    summary reduces away.
     """
     # explicit None test: an empty registry is falsy (it has __len__)
     if registry is None:
@@ -267,10 +268,8 @@ def memsys_metrics(
             **channel_tags,
         )
     if system is not None:
-        now = stats.makespan_ns
-        for controller in system.controllers:
-            snap = controller.metrics(now)
-            channel_tags = dict(tags, channel=controller.channel_id)
+        for channel, snap in enumerate(system.channel_metrics):
+            channel_tags = dict(tags, channel=channel)
             registry.gauge(
                 "memsys.channel.max_queue_length",
                 snap["queue_max"],
@@ -378,9 +377,6 @@ def farm_metrics(
     )
     registry.counter(
         "farm.degraded_shards", report.degraded_shards, **tags
-    )
-    registry.counter(
-        "farm.harmonized_shards", report.harmonized_shards, **tags
     )
     registry.counter(
         "farm.single_process_fallbacks",

@@ -1,5 +1,6 @@
 """Shared fixtures for the repro test suite."""
 
+import contextlib
 import signal
 import threading
 
@@ -49,3 +50,22 @@ def sim() -> Simulator:
 def rng() -> np.random.Generator:
     """A deterministic RNG for tests that sample."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def exact_tier(monkeypatch):
+    """Context-manager factory pinning the fast path's exact tier.
+
+    Inside ``with exact_tier():`` every vectorized certificate declines,
+    so ``engine="fast"`` replays through ``_replay_exact`` even on
+    traces the closed form would certify.
+    """
+    from repro.memsys import fastpath
+
+    @contextlib.contextmanager
+    def pinned():
+        with monkeypatch.context() as patch:
+            patch.setattr(fastpath, "_vector_plan", lambda *args: None)
+            yield
+
+    return pinned

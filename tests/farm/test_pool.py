@@ -300,14 +300,10 @@ class TestFarmMetrics:
             for entry in registry.counters
         }
         assert counters["farm.shards"] == plan.n_shards
-        assert counters["farm.attempts"] >= plan.n_shards
+        assert counters["farm.attempts"] == plan.n_shards
         assert counters["farm.retries"] == 0
         assert counters["farm.crashes"] == 0
         assert counters["farm.single_process_fallbacks"] == 0
-        assert (
-            counters["farm.harmonized_shards"]
-            == result.report.harmonized_shards
-        )
 
     def test_fallback_reason_becomes_degraded_gauge(self):
         report = FarmReport(mode="single", workers=1, n_shards=0)

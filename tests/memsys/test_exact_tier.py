@@ -1,15 +1,16 @@
 """The exact fast-path tier must reproduce the event engine bit for bit.
 
-``replay_fast(..., force_exact=True)`` replays every trace with its own
-index-based loop; the desim event engine (driving
-:class:`~repro.memsys.controller.ChannelController`) is the oracle.
-Every case requires, with ``==`` and no tolerance:
+Under the ``exact_tier`` fixture's pin, ``engine="fast"`` replays every
+trace with the exact tier's own index-based loop; the desim event engine
+(driving :class:`~repro.memsys.controller.ChannelController`) is the
+oracle.  Every case requires, with ``==`` and no tolerance:
 
-* every controller's :meth:`~ChannelController.export_state` (Welford
-  tally, queue-length integral, busy/idle totals, counters, bank
+* every controller's :meth:`~ChannelController.export_state` (bank
   counters and open rows, applied refresh epochs);
 * all eight latency-recorder arrays;
-* the runtime fields written back onto object traces.
+* the runtime fields written back onto object traces;
+* ``repr`` of the :class:`~repro.memsys.MemSysStats` (per-channel rows
+  included) and the per-channel extremes.
 
 The grid crosses policy, row policy, queue depth, refresh, timestamps
 and traffic mix; a hypothesis test covers arbitrary mixed streams.
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro.arch.dram import DramMacroTiming
 from repro.errors import ReplayStateError
 from repro.memsys import MemRequest, MemorySystem, MemSysConfig, Op
-from repro.memsys.fastpath import _check_progress, replay_fast
+from repro.memsys.fastpath import _check_progress
 from repro.memsys.trace import PackedTrace
 from repro.telemetry import ReplayTelemetry
 
@@ -95,9 +96,9 @@ def object_trace(ops, addrs, times):
     ]
 
 
-def replay_pair(config, trace_builder):
+def replay_pair(config, trace_builder, exact_tier):
     """(system, telemetry, requests) for the event engine and the
-    forced exact tier, each on a fresh system and fresh requests."""
+    pinned exact tier, each on a fresh system and fresh requests."""
     event_requests = trace_builder()
     event_system = MemorySystem(config)
     event_telemetry = ReplayTelemetry()
@@ -106,9 +107,11 @@ def replay_pair(config, trace_builder):
     )
     fast_requests = trace_builder()
     fast_system = MemorySystem(config)
-    fast_system._replayed = True
     fast_telemetry = ReplayTelemetry()
-    replay_fast(fast_system, fast_requests, fast_telemetry, force_exact=True)
+    with exact_tier():
+        fast_system.replay(
+            fast_requests, engine="fast", telemetry=fast_telemetry
+        )
     assert fast_system.last_replay_engine == "fast-exact"
     return (
         (event_system, event_telemetry, event_requests),
@@ -120,6 +123,10 @@ def assert_bit_identical(event, fast):
     event_system, event_telemetry, event_requests = event
     fast_system, fast_telemetry, fast_requests = fast
     assert fast_system.sim.now == event_system.sim.now
+    assert repr(fast_telemetry.stats) == repr(event_telemetry.stats)
+    assert repr(fast_system.channel_metrics) == repr(
+        event_system.channel_metrics
+    )
     for expected, actual in zip(
         event_system.controllers, fast_system.controllers
     ):
@@ -144,7 +151,8 @@ def assert_bit_identical(event, fast):
 @pytest.mark.parametrize("row_policy", ["open", "closed"])
 @pytest.mark.parametrize("policy", ["fcfs", "frfcfs"])
 def test_exact_tier_matches_event_engine(
-    policy, row_policy, queue_depth, refresh, timestamped, traffic
+    policy, row_policy, queue_depth, refresh, timestamped, traffic,
+    exact_tier,
 ):
     config = MemSysConfig(
         policy=policy,
@@ -157,36 +165,39 @@ def test_exact_tier_matches_event_engine(
         config, traffic, timestamped, seed=queue_depth
     )
     event, fast = replay_pair(
-        config, lambda: object_trace(ops, addrs, times)
+        config, lambda: object_trace(ops, addrs, times), exact_tier
     )
     assert_bit_identical(event, fast)
 
 
 @pytest.mark.parametrize("timestamped", [False, True])
-def test_packed_trace_matches_event_engine(timestamped):
+def test_packed_trace_matches_event_engine(timestamped, exact_tier):
     """Packed inputs take the same loop; only the write-back is skipped."""
     config = MemSysConfig(trefi_ns=400.0, trfc_ns=30.0, **IRREGULAR)
     ops, addrs, times = build_trace(config, "mixed", timestamped, n=600)
     event, fast = replay_pair(
-        config, lambda: PackedTrace(ops, addrs, times)
+        config, lambda: PackedTrace(ops, addrs, times), exact_tier
     )
     assert_bit_identical(event, fast)
 
 
-def test_idle_channel_keeps_its_startup_state():
-    """A channel no request routes to still gets the engine's
-    zero-width idle transition and empty collectors."""
+def test_idle_channel_reduces_to_an_empty_row(exact_tier):
+    """A channel no request routes to reduces to zero requests, NaN
+    latencies and a zero busy fraction on both engines."""
     config = MemSysConfig(n_channels=4)
     ops, addrs, times = build_trace(config, "host", False)
     fields = config.address_map().decode_fields(addrs)
     keep = fields["channel"] != 3
     event, fast = replay_pair(
-        config, lambda: object_trace(ops[keep], addrs[keep], None)
+        config,
+        lambda: object_trace(ops[keep], addrs[keep], None),
+        exact_tier,
     )
     assert_bit_identical(event, fast)
-    assert fast[0].controllers[3].utilization.state_dict()["totals"] == {
-        "idle": 0.0
-    }
+    assert fast[1].stats.per_channel[3]["requests"] == 0
+    assert math.isnan(fast[1].stats.per_channel[3]["mean_latency_ns"])
+    assert fast[0].channel_metrics[3]["busy_fraction"] == 0.0
+    assert fast[0].channel_metrics[3]["queue_max"] == 0.0
 
 
 @st.composite
@@ -222,17 +233,6 @@ def mixed_streams(draw):
                 max_size=n,
             )
         )
-    return config, requests, gaps
-
-
-@settings(
-    max_examples=120,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(mixed_streams())
-def test_exact_tier_matches_event_engine_on_mixed_streams(stream):
-    config, requests, gaps = stream
     codes = np.array([r[0] for r in requests])
     flat = np.array([r[2] for r in requests])
     fields = {
@@ -243,8 +243,25 @@ def test_exact_tier_matches_event_engine_on_mixed_streams(stream):
     }
     addrs = config.address_map().encode_fields(fields)
     times = None if gaps is None else np.cumsum(gaps)
+    return config, codes, addrs, times
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    # exact_tier hands out a fresh pin per example, so sharing the
+    # function-scoped fixture across examples is safe
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture
+    ],
+)
+@given(stream=mixed_streams())
+def test_exact_tier_matches_event_engine_on_mixed_streams(
+    exact_tier, stream
+):
+    config, codes, addrs, times = stream
     event, fast = replay_pair(
-        config, lambda: object_trace(codes, addrs, times)
+        config, lambda: object_trace(codes, addrs, times), exact_tier
     )
     assert_bit_identical(event, fast)
 

@@ -2,14 +2,13 @@
 
 Every combination of interleaving scheme x scheduling policy x access
 pattern (plus PIM all-bank traces) is replayed through both engines and
-the resulting :class:`MemSysStats` must agree: integer counters and
-bit-exact core times exactly, derived float aggregates within float
-tolerance (the fast path computes means by vectorized summation instead
-of streaming Welford updates, which differs only in the last ulps).
+the resulting :class:`MemSysStats` must agree to the last bit (``repr``
+equality, per-channel rows included), as must the per-channel extremes:
+every engine produces the same per-request times and reduces them with
+the one shared :func:`~repro.memsys.system.reduce_stats`.
 """
 
 import dataclasses
-import math
 
 import pytest
 
@@ -29,7 +28,6 @@ from repro.memsys import (
 SCHEME_NAMES = sorted(SCHEMES)
 POLICY_NAMES = ("fcfs", "frfcfs")
 PATTERN_NAMES = ("sequential", "strided", "random")
-REL = 1e-9
 
 
 def fresh(trace):
@@ -52,43 +50,23 @@ def pim_all_bank_trace(config, n):
     return requests
 
 
-def replay_both(config, trace):
-    """Replay one trace through both engines on fresh systems."""
-    event_stats = MemorySystem(config).replay(fresh(trace), engine="event")
+def replay_both(config, trace, copy=fresh):
+    """Replay one trace through both engines on fresh systems; the
+    per-channel extremes must agree to the last bit as well."""
+    event_system = MemorySystem(config)
+    event_stats = event_system.replay(copy(trace), engine="event")
     fast_system = MemorySystem(config)
-    fast_stats = fast_system.replay(fresh(trace), engine="fast")
+    fast_stats = fast_system.replay(copy(trace), engine="fast")
+    assert repr(fast_system.channel_metrics) == repr(
+        event_system.channel_metrics
+    )
     return event_stats, fast_stats, fast_system
 
 
-def assert_stats_equivalent(event_stats, fast_stats, rel=REL):
-    """Stat-for-stat comparison; ``rel=None`` demands bit-exactness."""
-
-    def check(actual, expected, key):
-        if isinstance(expected, int):
-            assert actual == expected, key
-        elif math.isnan(expected):
-            assert math.isnan(actual), key
-        elif rel is None:
-            assert actual == expected, key
-        else:
-            assert actual == pytest.approx(expected, rel=rel), key
-
-    event_dict = dataclasses.asdict(event_stats)
-    fast_dict = dataclasses.asdict(fast_stats)
-    event_channels = event_dict.pop("per_channel")
-    fast_channels = fast_dict.pop("per_channel")
-    for key, expected in event_dict.items():
-        check(fast_dict[key], expected, key)
-    # the core quantities are reproduced bit-for-bit, not just closely
-    assert fast_stats.makespan_ns == event_stats.makespan_ns
-    assert (
-        fast_stats.sustained_bits_per_sec
-        == event_stats.sustained_bits_per_sec
-    )
-    assert len(fast_channels) == len(event_channels)
-    for expected_row, actual_row in zip(event_channels, fast_channels):
-        for key, expected in expected_row.items():
-            check(actual_row[key], expected, key)
+def assert_stats_equivalent(event_stats, fast_stats):
+    """Bit-exact comparison: ``repr`` of every field, NaNs and
+    per-channel rows included."""
+    assert repr(fast_stats) == repr(event_stats)
 
 
 class TestEngineEquivalence:
@@ -184,7 +162,7 @@ class TestEngineEquivalence:
                 trace.append(MemRequest(Op.AB, request.addr))
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
-        assert_stats_equivalent(event_stats, fast_stats, rel=None)
+        assert_stats_equivalent(event_stats, fast_stats)
 
 
 class TestTierSelection:
@@ -216,7 +194,7 @@ class TestTierSelection:
         )
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
-        assert_stats_equivalent(event_stats, fast_stats, rel=None)
+        assert_stats_equivalent(event_stats, fast_stats)
 
 
 class TestEngineSelection:
@@ -315,9 +293,10 @@ class TestFastPathSideEffects:
                 assert fast_req.outcome == event_req.outcome
                 assert fast_req.bits == event_req.bits
 
-    def test_queue_length_extremes_match_event_engine(self):
-        """The vectorized tier's queue-occupancy min/max bookkeeping
-        (not part of MemSysStats) must agree with the event engine."""
+    def test_queue_peak_matches_event_collector_at_line_rate(self):
+        """Under line-rate injection the reduction's admission-first
+        queue peak (clipped at the depth) is exactly the event
+        engine's ``TimeWeighted`` maximum."""
         config = MemSysConfig(n_channels=2, scheme="channel-interleaved")
         for n in (4, config.queue_depth, 2048):
             trace = synthesize_trace("sequential", n, config)
@@ -326,17 +305,10 @@ class TestFastPathSideEffects:
             fast_system = MemorySystem(config)
             fast_system.replay(fresh(trace), engine="fast")
             assert fast_system.last_replay_engine == "fast-vectorized"
-            for event_ctrl, fast_ctrl in zip(
-                event_system.controllers, fast_system.controllers
+            for event_ctrl, metrics in zip(
+                event_system.controllers, fast_system.channel_metrics
             ):
-                assert (
-                    fast_ctrl.queue_len.maximum
-                    == event_ctrl.queue_len.maximum
-                )
-                assert (
-                    fast_ctrl.queue_len.minimum
-                    == event_ctrl.queue_len.minimum
-                )
+                assert metrics["queue_max"] == event_ctrl.queue_len.maximum
 
     def test_bank_state_matches_event_engine(self):
         config = MemSysConfig()
@@ -395,16 +367,13 @@ def replay_both_timed(config, trace):
     """Like :func:`replay_both` but keeping arrival timestamps —
     ``fresh`` strips them, which would hide the backpressure tier."""
 
-    def copy():
+    def copy(trace):
         return [
             MemRequest(r.op, r.addr, timestamp=r.timestamp)
             for r in trace
         ]
 
-    event_stats = MemorySystem(config).replay(copy(), engine="event")
-    fast_system = MemorySystem(config)
-    fast_stats = fast_system.replay(copy(), engine="fast")
-    return event_stats, fast_stats, fast_system
+    return replay_both(config, trace, copy)
 
 
 class TestAbCertificate:
@@ -470,7 +439,7 @@ class TestAbCertificate:
             config, trace
         )
         assert fast_system.last_replay_engine == "fast-exact"
-        assert_stats_equivalent(event_stats, fast_stats, rel=None)
+        assert_stats_equivalent(event_stats, fast_stats)
 
     def test_per_bank_refresh_ab_stream_declined(self):
         """Per-bank refresh staggers the banks out of lockstep, which
@@ -484,7 +453,7 @@ class TestAbCertificate:
         trace = ab_all_bank_trace(config, 512)
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
-        assert_stats_equivalent(event_stats, fast_stats, rel=None)
+        assert_stats_equivalent(event_stats, fast_stats)
 
     def test_host_traffic_poisons_the_certificate(self):
         """A single host read inside an otherwise pure AB channel must
@@ -495,30 +464,13 @@ class TestAbCertificate:
         trace.insert(128, host[0])
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
-        assert_stats_equivalent(event_stats, fast_stats, rel=None)
-
-
-def _assert_state_close(actual, expected, path=""):
-    """Recursive export_state comparison: integers, strings and None
-    exactly, floats to float-reduction tolerance."""
-    if isinstance(expected, dict):
-        assert set(actual) == set(expected), path
-        for key in expected:
-            _assert_state_close(actual[key], expected[key], f"{path}.{key}")
-    elif isinstance(expected, list):
-        assert len(actual) == len(expected), path
-        for index, (a, e) in enumerate(zip(actual, expected)):
-            _assert_state_close(a, e, f"{path}[{index}]")
-    elif isinstance(expected, float):
-        assert actual == pytest.approx(expected, rel=REL, abs=1e-9), path
-    else:
-        assert actual == expected, path
+        assert_stats_equivalent(event_stats, fast_stats)
 
 
 class TestVectorCommit:
-    """The vectorized tier loads its closed-form results through
+    """The vectorized tier loads its closed-form bank state through
     ``ChannelController.load_state``, one call per controller, and the
-    loaded state matches the event engine's collectors."""
+    loaded state matches the event engine's banks."""
 
     def _traces(self):
         config = MemSysConfig(n_channels=2, scheme="channel-interleaved")
@@ -577,4 +529,4 @@ class TestVectorCommit:
             # the closed form applies refresh epochs as fences, without
             # the controller's lazy per-bank bookkeeping
             del expected["refresh_applied"], actual["refresh_applied"]
-            _assert_state_close(actual, expected)
+            assert actual == expected

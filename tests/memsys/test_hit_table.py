@@ -21,7 +21,6 @@ from repro.memsys import (
     synthesize_trace,
 )
 from repro.memsys.controller import ChannelController
-from repro.memsys.fastpath import replay_fast
 
 
 def _reference_select(self):
@@ -45,21 +44,20 @@ def _reference_select(self):
 
 
 def _replay(trace, config, engine):
-    """Replay on ``engine``; ``"fast"`` pins the exact fast-path tier
-    (the vectorized tier has no selection to skip)."""
+    """Replay on ``engine`` (``"fast"`` under the ``exact_tier`` pin)."""
     system = MemorySystem(config)
+    stats = system.replay(trace, engine=engine)
     if engine == "fast":
-        system._replayed = True
-        stats = replay_fast(system, trace, force_exact=True)
         assert system.last_replay_engine == "fast-exact"
-    else:
-        stats = system.replay(trace, engine=engine)
     return stats.summary(), [c.export_state() for c in system.controllers]
 
 
-def _stats_pair(trace_builder, config, engine, monkeypatch):
-    """``engine``'s result, and the full-scan event engine's."""
-    table = _replay(trace_builder(), config, engine)
+def _stats_pair(trace_builder, config, engine, monkeypatch, exact_tier):
+    """``engine``'s result, and the full-scan event engine's; the fast
+    path runs with the exact tier pinned (the vectorized tier has no
+    selection to skip)."""
+    with exact_tier():
+        table = _replay(trace_builder(), config, engine)
     with monkeypatch.context() as patch:
         patch.setattr(ChannelController, "_select", _reference_select)
         reference = _replay(trace_builder(), config, "event")
@@ -71,7 +69,7 @@ def _stats_pair(trace_builder, config, engine, monkeypatch):
     "pattern", ["random", "sequential", "strided", "blocked_reuse"]
 )
 def test_selection_matches_reference_scan(
-    pattern, engine, monkeypatch
+    pattern, engine, monkeypatch, exact_tier
 ):
     config = MemSysConfig()
     table, reference = _stats_pair(
@@ -79,13 +77,14 @@ def test_selection_matches_reference_scan(
         config,
         engine,
         monkeypatch,
+        exact_tier,
     )
     assert table == reference
 
 
 @pytest.mark.parametrize("granularity", ["per-rank", "per-bank"])
 def test_selection_matches_reference_under_refresh(
-    granularity, monkeypatch
+    granularity, monkeypatch, exact_tier
 ):
     config = MemSysConfig(
         trefi_ns=500.0, trfc_ns=60.0, refresh_granularity=granularity
@@ -97,6 +96,7 @@ def test_selection_matches_reference_under_refresh(
         config,
         "event",
         monkeypatch,
+        exact_tier,
     )
     assert table == reference
 
@@ -119,18 +119,24 @@ def _pim_ab_mix(config):
     return requests
 
 
-def test_selection_matches_reference_with_pim_and_ab(monkeypatch):
+def test_selection_matches_reference_with_pim_and_ab(
+    monkeypatch, exact_tier
+):
     """Mixed host/PIM/AB streams exercise the all-bank rescans."""
     config = MemSysConfig()
     table, reference = _stats_pair(
-        lambda: _pim_ab_mix(config), config, "event", monkeypatch
+        lambda: _pim_ab_mix(config),
+        config,
+        "event",
+        monkeypatch,
+        exact_tier,
     )
     assert table == reference
 
 
 @pytest.mark.parametrize("granularity", [None, "per-rank", "per-bank"])
 def test_fast_selection_matches_reference_with_pim_and_ab(
-    granularity, monkeypatch
+    granularity, monkeypatch, exact_tier
 ):
     """The exact tier's queued-hit table against the full-scan event
     engine, on the PIM/AB mix (and under refresh, whose precharges
@@ -143,7 +149,11 @@ def test_fast_selection_matches_reference_with_pim_and_ab(
         )
     )
     table, reference = _stats_pair(
-        lambda: _pim_ab_mix(config), config, "fast", monkeypatch
+        lambda: _pim_ab_mix(config),
+        config,
+        "fast",
+        monkeypatch,
+        exact_tier,
     )
     assert table == reference
 

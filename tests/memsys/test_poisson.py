@@ -103,18 +103,9 @@ class TestReplay:
             engine="event",
         )
         fast = MemorySystem(config).replay(trace, engine="fast")
-        # makespan and integer counters are bit-exact in every tier;
-        # the vectorized tier's Tally means may differ by an ulp
-        # (numpy pairwise sums vs sequential accumulation)
-        assert event.makespan_ns == fast.makespan_ns
-        assert event.n_requests == fast.n_requests
-        assert (event.row_hits, event.row_misses, event.row_conflicts) == (
-            fast.row_hits, fast.row_misses, fast.row_conflicts
-        )
-        for key, expected in event.summary().items():
-            assert fast.summary()[key] == pytest.approx(
-                expected, rel=1e-12
-            ), key
+        # every tier reduces the same per-request times with the same
+        # function, so every statistic is bit-exact
+        assert repr(fast) == repr(event)
 
     def test_bursty_arrivals_stretch_the_makespan(self):
         """Slower offered load dominates the makespan: the trace ends

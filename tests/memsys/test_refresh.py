@@ -9,9 +9,6 @@ produce identical statistics from the event engine and the fast path,
 whichever tier serves it.
 """
 
-import dataclasses
-import math
-
 import pytest
 
 from repro.memsys import (
@@ -26,7 +23,6 @@ from repro.memsys import (
 
 #: HBM2-class refresh timings (ns).
 TREFI, TRFC = 3900.0, 350.0
-REL = 1e-9
 
 
 def fresh(trace):
@@ -34,41 +30,20 @@ def fresh(trace):
 
 
 def replay_both(config, trace):
-    event_stats = MemorySystem(config).replay(fresh(trace), engine="event")
+    event_system = MemorySystem(config)
+    event_stats = event_system.replay(fresh(trace), engine="event")
     fast_system = MemorySystem(config)
     fast_stats = fast_system.replay(fresh(trace), engine="fast")
+    assert repr(fast_system.channel_metrics) == repr(
+        event_system.channel_metrics
+    )
     return event_stats, fast_stats, fast_system
 
 
-def assert_stats_equivalent(event_stats, fast_stats, rel=REL):
-    """Stat-for-stat comparison; ``rel=None`` demands bit-exactness."""
-
-    def check(actual, expected, key):
-        if isinstance(expected, int):
-            assert actual == expected, key
-        elif math.isnan(expected):
-            assert math.isnan(actual), key
-        elif rel is None:
-            assert actual == expected, key
-        else:
-            assert actual == pytest.approx(expected, rel=rel), key
-
-    event_dict = dataclasses.asdict(event_stats)
-    fast_dict = dataclasses.asdict(fast_stats)
-    event_channels = event_dict.pop("per_channel")
-    fast_channels = fast_dict.pop("per_channel")
-    for key, expected in event_dict.items():
-        check(fast_dict[key], expected, key)
-    # the core quantities are reproduced bit-for-bit, not just closely
-    assert fast_stats.makespan_ns == event_stats.makespan_ns
-    assert (
-        fast_stats.sustained_bits_per_sec
-        == event_stats.sustained_bits_per_sec
-    )
-    assert len(fast_channels) == len(event_channels)
-    for expected_row, actual_row in zip(event_channels, fast_channels):
-        for key, expected in expected_row.items():
-            check(actual_row[key], expected, key)
+def assert_stats_equivalent(event_stats, fast_stats):
+    """Bit-exact comparison: ``repr`` of every field, NaNs and
+    per-channel rows included."""
+    assert repr(fast_stats) == repr(event_stats)
 
 
 def pim_all_bank_trace(config, n):
@@ -288,7 +263,7 @@ class TestEngineEquivalenceGrid:
         )
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
-        assert_stats_equivalent(event_stats, fast_stats, rel=None)
+        assert_stats_equivalent(event_stats, fast_stats)
 
     @pytest.mark.parametrize(
         "scheme", ("bank-interleaved", "channel-interleaved")
@@ -340,7 +315,7 @@ class TestEngineEquivalenceGrid:
                 trace.append(MemRequest(Op.AB, request.addr))
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
-        assert_stats_equivalent(event_stats, fast_stats, rel=None)
+        assert_stats_equivalent(event_stats, fast_stats)
 
     def test_tight_refresh_interval(self):
         """Fences that bind on almost every epoch stay equivalent."""

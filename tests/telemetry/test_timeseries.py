@@ -53,20 +53,16 @@ FARM = dict(
 
 
 def record(config, trace, engine):
-    """One recorded replay; ``engine`` may pin the exact fast tier."""
+    """One recorded replay; ``"exact"`` runs the fast path under the
+    ``exact_tier`` fixture's pin."""
     telemetry = ReplayTelemetry()
+    MemorySystem(config).replay(
+        trace,
+        engine="fast" if engine == "exact" else engine,
+        telemetry=telemetry,
+    )
     if engine == "exact":
-        from repro.memsys.fastpath import replay_fast
-
-        system = MemorySystem(config)
-        system._replayed = True
-        stats = replay_fast(system, trace, telemetry, force_exact=True)
-        telemetry._finish(system, stats)
         assert telemetry.engine == "fast-exact"
-    else:
-        MemorySystem(config).replay(
-            trace, engine=engine, telemetry=telemetry
-        )
     return telemetry
 
 
@@ -92,7 +88,7 @@ class TestCrossEngineEquivalence:
     )
     @pytest.mark.parametrize("policy", ("fcfs", "frfcfs"))
     def test_series_matrix(
-        self, refresh_name, refresh, arrival, scheme, policy
+        self, refresh_name, refresh, arrival, scheme, policy, exact_tier
     ):
         config = MemSysConfig(scheme=scheme, policy=policy, **refresh)
         kwargs = dict(seed=11, write_fraction=0.25, packed=True)
@@ -100,9 +96,13 @@ class TestCrossEngineEquivalence:
             kwargs["interarrival_ns"] = 6.0
         trace = synthesize_trace("random", N, config, **kwargs)
         documents = {}
-        for engine in ("event", "fast", "exact"):
+        for engine in ("event", "fast"):
             documents[engine] = build_timeseries(
                 record(config, trace, engine)
+            )
+        with exact_tier():
+            documents["exact"] = build_timeseries(
+                record(config, trace, "exact")
             )
         # the farm leg: sharded when the trace allows it, the exact
         # single-process fallback otherwise (line-rate traces) — the
